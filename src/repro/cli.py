@@ -362,12 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact the WAL into a snapshot every N applied events",
     )
     serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=4096,
-        help="ingestion queue bound; beyond it events are shed and counted",
-    )
-    serve.add_argument(
         "--batch",
         type=int,
         default=1,
@@ -1143,7 +1137,6 @@ def _serve(args) -> int:
         args.state_dir,
         config,
         policy=args.policy,
-        max_queue=args.max_queue,
         fsync=args.fsync,
     )
 
@@ -1190,7 +1183,7 @@ def _serve(args) -> int:
           f"over {len(snapshot['vehicles'])} vehicle(s)")
     print(f"ingestion:   {ingest['received']} received, "
           f"{ingest['duplicates']} duplicate(s), {ingest['rejected']} rejected, "
-          f"{ingest['malformed']} malformed, {ingest['shed']} shed")
+          f"{ingest['malformed']} malformed")
     if args.batch > 1:
         batch = ingest["batch"]
         print(f"batched:     {batch['chunks']} chunk(s) of <= {args.batch}, "
@@ -1250,7 +1243,6 @@ def _serve_sharded(args, config) -> int:
             shards=args.shards,
             policy=args.policy,
             fsync=args.fsync,
-            max_queue=args.max_queue,
             ledger_path=None if args.ledger is None else str(args.ledger),
             hang_timeout=args.hang_timeout if args.hang_timeout > 0 else None,
             restart_budget=args.restart_budget,
@@ -1306,7 +1298,7 @@ def _serve_sharded(args, config) -> int:
           f"over {len(snapshot['vehicles'])} vehicle(s)")
     print(f"ingestion:   {ingest['received']} received, "
           f"{ingest['duplicates']} duplicate(s), {ingest['rejected']} rejected, "
-          f"{ingest['malformed']} malformed, {ingest['shed']} shed")
+          f"{ingest['malformed']} malformed")
     print(f"sharded:     {routing['shards']} shard(s), "
           f"{routing['dispatched_events']} event(s) routed, "
           f"{routing['restarts']} worker restart(s), "

@@ -13,12 +13,11 @@ The deployed face of the paper's algorithms: per-vehicle
   hysteresis that ends at a provable guarantee (N-Rand's ``e/(e-1)``
   or DET's 2-competitive bound) instead of failing open
   (:mod:`repro.service.session`);
-* **defensive ingestion** — idempotent event ids, monotone-clock
-  enforcement through the :mod:`repro.validation` policies, and a
-  bounded queue with shed-and-count backpressure
-  (:mod:`repro.service.advisor`);
-* **a chaos harness** — kill/restart soak runs that pin cost parity
-  with the uninterrupted run (:mod:`repro.service.soak`);
+* **defensive ingestion** — idempotent event ids, finite values and
+  monotone-clock enforcement through the :mod:`repro.validation`
+  policies (:mod:`repro.service.advisor`);
+* **a chaos matrix** — fault × tier × batch cells that pin cost and
+  digest parity with the uninterrupted run (:mod:`repro.service.soak`);
 * **horizontal scale** — consistent-hash sharding across worker
   processes with at-least-once redelivery and bit-identical shard
   recovery (:mod:`repro.service.shard`), fronted by a JSONL

@@ -1,17 +1,12 @@
-"""The multi-vehicle advisor service: routing, backpressure, health.
+"""The multi-vehicle advisor service: routing, validation, health.
 
 :class:`AdvisorService` owns one :class:`~repro.service.session.AdvisorSession`
 per vehicle, each with its own sub-directory of the service state
-directory (WAL + snapshot), a shared validation report/quarantine
-sidecar, and a bounded ingestion queue:
+directory (WAL + snapshot), and a shared validation report/quarantine
+sidecar:
 
-* ``offer(record)`` enqueues one raw event; when the queue is full the
-  event is **shed and counted** (explicit backpressure — the caller
-  sees False and the health snapshot reports the count) rather than
-  growing memory without bound;
-* ``drain()`` parses, validates and routes everything queued;
-* ``process(record)`` is offer+drain for one event (the file/stdin
-  serving loop);
+* ``process(record)`` validates and routes one raw event (the
+  file/stdin serving loop);
 * ``process_batch(records)`` / ``ingest_lines(lines)`` are the columnar
   fast path (``serve --batch N``): a chunk is planned into per-vehicle
   runs (:mod:`repro.service.batch`) and each run applied through one
@@ -33,13 +28,11 @@ import json
 import os
 import re
 import time
-from collections import deque
 from pathlib import Path
 
-from ..engine.ledger import active_ledger
 from ..validation import CsvQuarantineWriter, PolicyEnforcer, ValidationReport
 from ..validation.schemas import stop_event_findings
-from .batch import MalformedEvent, plan_chunk
+from .batch import MalformedEvent, identifiable_vehicle, plan_chunk
 from .session import AdvisorSession, SessionConfig
 
 __all__ = [
@@ -55,11 +48,6 @@ __all__ = [
 #: (shard respawn, standby promotion) replays this file to rebuild each
 #: session under its correct RNG seed.
 REGISTRY_NAME = "vehicles.idx"
-
-#: Backpressure ledger warnings fire on the first shed event and at
-#: every multiple of this — loud enough to see overload in the run
-#: ledger, quiet enough not to amplify it.
-_SHED_WARN_EVERY = 1000
 
 _UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -131,9 +119,6 @@ class AdvisorService:
         Validation policy for ingestion (default ``repair`` — a
         deployed service must not die on one bad record; pass
         ``strict`` to make it do exactly that in tests).
-    max_queue:
-        Bound on the in-memory ingestion queue; beyond it events are
-        shed and counted.
     fsync:
         Forwarded to every session's WAL/snapshot writes.
     recover:
@@ -158,7 +143,6 @@ class AdvisorService:
         *,
         policy: str = "repair",
         report: ValidationReport | None = None,
-        max_queue: int = 4096,
         fsync: bool = False,
         recover: bool = True,
         source: str = "events",
@@ -173,17 +157,12 @@ class AdvisorService:
         self.fs = fs
         self.replication = replication
         self.recover = bool(recover)
-        if max_queue < 1:
-            max_queue = 1
-        self.max_queue = int(max_queue)
         self.report = report if report is not None else ValidationReport(str(policy))
         self._enforcer = PolicyEnforcer(policy, self.report, source)
         self._enforcer.attach_quarantine_writer(
             CsvQuarantineWriter(self.state_dir / source, self.report)
         )
         self.sessions: dict[str, AdvisorSession] = {}
-        self._queue: deque = deque()
-        self.shed = 0
         self.received = 0
         self.malformed = 0
         # Batched-ingest throughput counters (health_snapshot -> ingest.batch).
@@ -212,49 +191,10 @@ class AdvisorService:
 
     # -- ingestion --------------------------------------------------------
 
-    def offer(self, record) -> bool:
-        """Enqueue one raw event; False when it was shed (queue full).
-
-        Shedding is counted (health snapshot) *and* surfaced as a
-        rate-limited ``advisor-backpressure`` run-ledger warning — on
-        the first shed event and every `_SHED_WARN_EVERY`th thereafter —
-        so fleet operators see overload in the ledger, not just in a
-        counter they would have to poll.
-        """
-        self.received += 1
-        if len(self._queue) >= self.max_queue:
-            self.shed += 1
-            if self.shed == 1 or self.shed % _SHED_WARN_EVERY == 0:
-                ledger = active_ledger()
-                if ledger is not None:
-                    ledger.emit(
-                        "advisor-backpressure",
-                        tier="service",
-                        shed=self.shed,
-                        received=self.received,
-                        max_queue=self.max_queue,
-                    )
-            return False
-        self._queue.append(record)
-        return True
-
-    def drain(self) -> list[dict]:
-        """Process everything queued; returns the decisions made."""
-        decisions = []
-        while self._queue:
-            decision = self._handle(self._queue.popleft())
-            if decision is not None:
-                decisions.append(decision)
-        return decisions
-
     def process(self, record) -> dict | None:
-        """Offer + drain for one event (the serving loop's hot path)."""
-        if not self.offer(record):
-            return None
-        decision = None
-        for result in self.drain():
-            decision = result
-        return decision
+        """Validate and apply one event (the serving loop's hot path)."""
+        self.received += 1
+        return self._handle(record)
 
     def ingest_line(self, line: str) -> dict | None:
         """Parse one JSONL event line and process it (the ``serve`` loop).
@@ -283,11 +223,8 @@ class AdvisorService:
         signals land exactly where the scalar loop would put them.
 
         Returns decisions aligned with ``records`` (None where the
-        record was malformed or dropped).  Any previously queued events
-        are drained first so ordering across ``offer``/batch mixes is
-        preserved.
+        record was malformed or dropped).
         """
-        self.drain()
         records = list(records)
         self.received += len(records)
         results: list = [None] * len(records)
@@ -357,7 +294,7 @@ class AdvisorService:
     def _flag_malformed(self, record, findings) -> None:
         """Policy-handle one value-invalid record (scalar and batch paths)."""
         self.malformed += 1
-        vehicle = self._identifiable_vehicle(record)
+        vehicle = identifiable_vehicle(record)
         for check, message in findings:
             self._enforcer.flag(
                 check,
@@ -369,14 +306,6 @@ class AdvisorService:
         # already serve: garbage must not create sessions.
         if vehicle is not None and vehicle in self.sessions:
             self.sessions[vehicle].note_invalid_event(findings[0][0])
-
-    @staticmethod
-    def _identifiable_vehicle(record) -> str | None:
-        if isinstance(record, dict):
-            vehicle = record.get("vehicle")
-            if isinstance(vehicle, str) and vehicle.strip():
-                return vehicle
-        return None
 
     # -- lifecycle / observability ---------------------------------------
 
@@ -414,9 +343,6 @@ class AdvisorService:
             "vehicles": vehicles,
             "ingest": {
                 "received": self.received,
-                "queued": len(self._queue),
-                "max_queue": self.max_queue,
-                "shed": self.shed,
                 "malformed": self.malformed,
                 "duplicates": sum(s.duplicates for s in self.sessions.values()),
                 "rejected": sum(s.rejected for s in self.sessions.values()),
@@ -486,7 +412,6 @@ class AdvisorService:
         (a tail still unlandable stays lost, by design: it was never
         durable and the snapshot says so).
         """
-        self.drain()
         for session in self.sessions.values():
             if session.durability_suspended:
                 session.probe_durability()
@@ -514,23 +439,21 @@ class RegisteredAdvisorService(AdvisorService):
     def __init__(self, state_dir, config, **kwargs) -> None:
         super().__init__(state_dir, config, **kwargs)
         self._registry_path = self.state_dir / REGISTRY_NAME
-        known: list[str] = []
+        # Every registered id in first-seen order (a dict, so the dedup
+        # of a 100k-line registry stays linear).
+        self._registered: dict[str, None] = {}
         if self._registry_path.exists():
             for line in self._registry_path.read_text().splitlines():
                 try:
                     vehicle_id = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn tail: the id re-registers on redelivery
-                if isinstance(vehicle_id, str) and vehicle_id not in known:
-                    known.append(vehicle_id)
-        self._registered: set[str] = set()
+                if isinstance(vehicle_id, str):
+                    self._registered[vehicle_id] = None
         self._registry = open(self._registry_path, "a")
         if self.recover:
-            for vehicle_id in known:
-                self._registered.add(vehicle_id)
+            for vehicle_id in self._registered:
                 self.session(vehicle_id)
-        else:
-            self._registered.update(known)
 
     def session(self, vehicle_id):
         vehicle_id = str(vehicle_id)
@@ -539,7 +462,7 @@ class RegisteredAdvisorService(AdvisorService):
             self._registry.flush()
             if self.fsync:
                 os.fsync(self._registry.fileno())
-            self._registered.add(vehicle_id)
+            self._registered[vehicle_id] = None
         return super().session(vehicle_id)
 
     def close(self) -> None:

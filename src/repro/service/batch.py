@@ -90,7 +90,8 @@ class ChunkPlan:
     items: list  # ColumnarRun | MalformedEvent
 
 
-def _identifiable_vehicle(record) -> str | None:
+def identifiable_vehicle(record) -> str | None:
+    """The non-blank string ``vehicle`` a record claims, if any."""
     if isinstance(record, dict):
         vehicle = record.get("vehicle")
         if isinstance(vehicle, str) and vehicle.strip():
@@ -175,7 +176,7 @@ def plan_chunk(records) -> ChunkPlan:
         if event is None:
             findings, event = stop_event_findings(record)
         if event is None:
-            vehicle = _identifiable_vehicle(record)
+            vehicle = identifiable_vehicle(record)
             marker = MalformedEvent(index, vehicle, record, findings)
             if vehicle is None:
                 loose.append(marker)

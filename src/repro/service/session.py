@@ -356,6 +356,18 @@ class AdvisorSession:
                 self.note_invalid_event(check)
                 return None
         timestamp = float(timestamp)
+        if not math.isfinite(timestamp):
+            # Same defense for the clock: NaN would pass every later
+            # staleness check and cannot be framed into the WAL.
+            kept = self._enforcer.flag(
+                "non-finite-start-time",
+                f"vehicle {self.vehicle_id}: event {event_id} timestamp {timestamp!r}",
+                record=[event_id, self.vehicle_id, repr(timestamp), repr(stop_length)],
+            )
+            if not kept:
+                self.rejected += 1
+                self.note_invalid_event("non-finite-start-time")
+                return None
         if self.last_timestamp is not None and timestamp < self.last_timestamp:
             kept = self._enforcer.flag(
                 "non-monotonic-timestamp",

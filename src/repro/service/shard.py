@@ -73,6 +73,7 @@ from .advisor import (
     RegisteredAdvisorService,
     gate_on_replication,
 )
+from .batch import identifiable_vehicle
 
 __all__ = [
     "HashRing",
@@ -91,8 +92,8 @@ SHARD_LOCK_NAME = "shard.lock"
 # REGISTRY_NAME constant) moved to advisor.py when standby promotion
 # started needing the same warm-recovery machinery.
 _REGISTRY_NAME = REGISTRY_NAME
-#: Rate limit for shard-tier backpressure ledger warnings (mirrors the
-#: per-process ``AdvisorService.offer`` policy).
+#: Rate limit for shard-tier backpressure ledger warnings: the first
+#: shed on a shard, then every this-many events.
 _SHED_WARN_EVERY = 1000
 #: Crash-loop backoff: the first crash respawns immediately (the common
 #: SIGKILL/OOM case must not add latency), the second waits this long,
@@ -356,7 +357,6 @@ def _shard_worker(
     config,
     policy: str,
     fsync: bool,
-    max_queue: int,
     ledger_path: str | None,
     commands,
     conn,
@@ -393,7 +393,6 @@ def _shard_worker(
             config,
             policy=policy,
             fsync=fsync,
-            max_queue=max_queue,
         )
         if ledger is not None:
             with use_ledger(ledger):
@@ -442,9 +441,8 @@ class ShardedAdvisorService:
     queue_depth:
         Bound on each shard's pending-command queue.  ``submit_lines``
         blocks on a full queue (lossless backpressure);
-        ``offer_lines`` sheds and counts instead, emitting the same
-        rate-limited ``advisor-backpressure`` ledger warning as
-        ``AdvisorService.offer``.
+        ``offer_lines`` sheds and counts instead, with a rate-limited
+        ``advisor-backpressure`` ledger warning.
     ledger_path:
         Optional base path: worker ``i`` appends its advisor-state
         events to ``<ledger_path>.shard-NN`` (one writer per file —
@@ -490,7 +488,6 @@ class ShardedAdvisorService:
         shards: int = 2,
         policy: str = "repair",
         fsync: bool = False,
-        max_queue: int = 4096,
         queue_depth: int = 8,
         replicas: int = 64,
         workers: bool = True,
@@ -521,7 +518,6 @@ class ShardedAdvisorService:
         self.config = config
         self.policy = policy
         self.fsync = bool(fsync)
-        self.max_queue = int(max_queue)
         self.recover = bool(recover)
         self.shards = int(shards)
         self.queue_depth = max(1, int(queue_depth))
@@ -562,7 +558,6 @@ class ShardedAdvisorService:
                     config,
                     policy=policy,
                     fsync=fsync,
-                    max_queue=max_queue,
                     recover=recover,
                 )
                 for index in range(self.shards)
@@ -670,7 +665,7 @@ class ShardedAdvisorService:
                     records.append(None)
         groups: dict[int, tuple[list, list]] = {}
         for position, (line, record) in enumerate(zip(lines, records)):
-            vehicle = AdvisorService._identifiable_vehicle(record)
+            vehicle = identifiable_vehicle(record)
             shard = self.ring.route(vehicle if vehicle is not None else line)
             bucket = groups.setdefault(shard, ([], []))
             bucket[0].append(position)
@@ -866,9 +861,9 @@ class ShardedAdvisorService:
     def _note_shed(self, shard: int, events: int) -> None:
         """Count a shed sub-chunk against its shard; warn rate-limited.
 
-        The cadence matches ``AdvisorService.offer`` — the first shed
-        on a shard, then every ``_SHED_WARN_EVERY``th on that shard —
-        but stated as a boundary *crossing* because tier sheds arrive
+        The cadence is the first shed on a shard, then every
+        ``_SHED_WARN_EVERY``th on that shard — stated as a boundary
+        *crossing* because tier sheds arrive
         in multi-event sub-chunks: a chunk that jumps the counter from
         999 to 1003 still fires the 1000-mark warning (an exact
         ``% _SHED_WARN_EVERY == 0`` check would skip it, and counting
@@ -1043,7 +1038,6 @@ class ShardedAdvisorService:
                     "vehicles": None,
                     "fleet_cost": None,
                     "states": None,
-                    "shed": None,
                     "tier_shed": self.shed_by_shard[index],
                 }
             else:
@@ -1052,10 +1046,6 @@ class ShardedAdvisorService:
                     "vehicles": snapshot["vehicle_count"],
                     "fleet_cost": snapshot["fleet_cost"],
                     "states": snapshot["states"],
-                    # Worker-level shed (AdvisorService.offer inside the
-                    # shard) vs tier-level shed (offer_lines dropped the
-                    # sub-chunk before it ever reached the worker).
-                    "shed": snapshot["ingest"]["shed"],
                     "tier_shed": self.shed_by_shard[index],
                 }
             if self.worker_mode:
@@ -1079,9 +1069,6 @@ class ShardedAdvisorService:
             "vehicles": vehicles,
             "ingest": {
                 "received": _total("received"),
-                "queued": _total("queued"),
-                "max_queue": self.max_queue,
-                "shed": _total("shed"),
                 "malformed": _total("malformed"),
                 "duplicates": _total("duplicates"),
                 "rejected": _total("rejected"),
@@ -1200,7 +1187,6 @@ class ShardedAdvisorService:
                 self.config,
                 self.policy,
                 self.fsync,
-                self.max_queue,
                 self._worker_ledger_path(shard),
                 commands,
                 child_conn,

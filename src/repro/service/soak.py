@@ -1,31 +1,39 @@
-"""Deterministic soak/chaos harness for the advisor service.
+"""Deterministic chaos matrix for the advisor service.
 
 The durability contract — "a SIGKILL at any instant loses nothing" —
 is only worth stating if something kills the service mid-stream and
-checks the books afterwards.  This harness does exactly that:
+checks the books afterwards.  This harness does that as one matrix of
+cells, each a :class:`Cell` on three axes:
 
-1. synthesize an NREL-shaped fleet event stream
-   (:func:`build_fleet_events` — the same generator the experiments
-   use, interleaved into one timestamped multi-vehicle feed);
-2. run it **uninterrupted** through an :class:`AdvisorService` into a
-   clean state directory (the reference);
-3. run the same stream through kill/restart cycles: a child process
-   serves the stream and is SIGKILLed at injected event indices
-   (reusing :class:`repro.engine.faults.FaultInjector`, whose
-   cross-process claim files make each kill fire exactly once across
-   restarts), then a fresh child recovers from the state directory and
-   replays the stream from the top — duplicate delivery is the
-   *normal* case here, exercising idempotent ingestion for free;
-4. assert the chaos run's realized fleet cost and per-vehicle state
-   digests are **bit-identical** to the uninterrupted run.
+* the **fault** — ``kill`` (SIGKILL), ``hang`` (SIGSTOP a worker),
+  ``poison`` (a chunk that kills every worker touching it), ``disk``
+  (ENOSPC windows over the WAL/snapshot writes) or ``primary-loss``
+  (SIGKILL a primary while a standby ships its WAL);
+* the **tier** — ``single`` (one :class:`AdvisorService` process),
+  ``sharded`` (a :class:`~repro.service.shard.ShardedAdvisorService`
+  fleet of worker processes) or ``standby`` (a registered primary plus
+  the standby it ships to);
+* the **batch** — events per ``process_batch`` chunk on the single and
+  standby tiers (1 = the scalar loop), events per routed chunk on the
+  sharded tier.
 
-Run it directly (the CI ``service-chaos`` job does)::
+:func:`run_cell` drives one cell over an NREL-shaped fleet stream
+(:func:`build_fleet_events`), and :func:`gate` holds every cell to the
+same bar: its fleet cost and per-vehicle state digests must be
+**bit-identical** to one clean single-process run of the same stream,
+and its fault's own evidence (:data:`EVIDENCE`) must show the fault
+struck and was recovered from.  Combinations the serving code cannot
+run are listed in :data:`UNSUPPORTED` with the reason.
 
-    python -m repro.service.soak --vehicles 4 --stops 80 --kills 3 \
-        --seed 7 --out results/soak
+Run it directly (CI does, naming the cells it gates on)::
 
-Exit status 0 means parity held; the state directories, WALs and the
-chaos ledger are left under ``--out`` for post-mortems.
+    python -m repro.service.soak kill-single-1 hang-sharded-8 \
+        --vehicles 4 --stops 60 --out results
+
+No cell names runs the full :data:`MATRIX`.  Exit status 0 means every
+cell passed; ``<out>/SOAK_matrix.json`` holds each cell's verdict, wall
+time and evidence, and the state directories, WALs and ledgers stay
+under ``<out>/soak/<cell>/`` for post-mortems.
 """
 
 from __future__ import annotations
@@ -33,31 +41,217 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
+import platform
+import shutil
+import signal
 import sys
-from dataclasses import asdict
+import time
+import traceback
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..engine.faults import Fault, FaultInjector
-from ..engine.ledger import RunLedger, read_ledger, use_ledger
+from ..engine.faults import Fault, FaultInjector, FsFault, FsFaultInjector
+from ..engine.ledger import RunLedger, use_ledger
+from ..errors import InvalidParameterError
 from ..fleet import area_config
 from ..fleet.generator import FleetGenerator
 from .advisor import AdvisorService, RegisteredAdvisorService
 from .session import SessionConfig
 
 __all__ = [
-    "build_fleet_events",
-    "run_stream",
-    "run_chaos",
-    "run_sharded_chaos",
-    "run_hang_chaos",
-    "run_poison_chaos",
-    "run_disk_fault_chaos",
-    "run_replica_chaos",
+    "BATCHES",
+    "EVIDENCE",
+    "FAULTS",
+    "MATRIX",
+    "TIERS",
+    "UNSUPPORTED",
+    "Cell",
     "SoakResult",
+    "build_fleet_events",
+    "fault_schedule",
+    "gate",
     "main",
+    "run_cell",
+    "run_stream",
 ]
+
+# -- the matrix --------------------------------------------------------------
+#
+# Constant parameters first, then the axes: every cell shares the former.
+
+#: Worker processes in a sharded cell.
+SHARDS = 2
+#: SIGKILLs in a single-process kill cell (the restart cycle's length).
+KILLS = 3
+#: Worker SIGKILLs or SIGSTOPs in a sharded kill or hang cell.
+WORKER_FAULTS = 2
+#: Supervisor silence bound in a hang cell, seconds (kill and poison
+#: cells keep the tier's 30 s default).
+HANG_TIMEOUT = 2.0
+#: Crashes one chunk may cause before the supervisor quarantines it.
+POISON_BUDGET = 3
+#: ENOSPC windows in a disk cell, and the failing operations in each.
+DISK_WINDOWS = 2
+DISK_WINDOW_OPS = 3
+#: Standby shipping period, and the primary's pacing per event — without
+#: the pacing the stream would finish in a microsecond burst and the
+#: standby would usually see no frame before the kill.
+SYNC_INTERVAL = 0.01
+EVENT_DELAY = 0.005
+#: The line a poison cell injects; any worker that touches it dies.
+POISON_LINE = json.dumps(
+    {"id": "poison-0", "vehicle": "poison-pill", "t": -1.0, "stop": 1.0},
+    sort_keys=True,
+)
+
+FAULTS = ("kill", "hang", "poison", "disk", "primary-loss")
+TIERS = ("single", "sharded", "standby")
+BATCHES = (1, 8, 16)
+
+#: ``(fault, tier)`` -> why no cell of that combination can run today.
+UNSUPPORTED = {
+    ("hang", "single"): "nothing supervises a single process: hang "
+    "detection is the sharded tier's heartbeat",
+    ("poison", "single"): "crash attribution and the poison sidecar live in "
+    "the shard supervisor; a restarted single process would replay the "
+    "poison line forever",
+    ("primary-loss", "single"): "losing the primary needs a standby to "
+    "promote: that is the standby tier",
+    ("disk", "sharded"): "ShardedAdvisorService takes no disk-fault "
+    "injector, so its workers cannot see one",
+    ("primary-loss", "sharded"): "the drill SIGKILLs one serving process; "
+    "a sharded primary's workers outlive it, flushing until their next "
+    "heartbeat fails, and the stream would have to finish through a "
+    "sharded service on the standby",
+    ("kill", "standby"): "a SIGKILL on this tier is the primary-loss cell",
+    ("hang", "standby"): "nothing supervises the primary: a SIGSTOPped "
+    "primary stays alive, so the shipping loop would wait on it forever",
+    ("poison", "standby"): "the primary is a single process, with no crash "
+    "attribution",
+    ("disk", "standby"): "disk faults on the primary are the disk-single "
+    "cells; faulting the standby's writes (LocalReplicaTarget(fs=...)) "
+    "needs a shipping loop that retries failed passes, and leaves no "
+    "session suspension for this fault's evidence check to read",
+}
+
+#: fault -> (what its evidence must show, the check over evidence and result).
+EVIDENCE = {
+    "kill": (
+        "restarts equal kills fired",
+        lambda e, r: e["restarts"] == e["struck"] == e["scheduled"],
+    ),
+    "hang": (
+        "detected hangs equal frozen workers",
+        lambda e, r: e["hangs"] == e["struck"] == e["scheduled"],
+    ),
+    "poison": (
+        "the sidecar holds exactly the poison line",
+        lambda e, r: e["sidecar"] == [[POISON_LINE]],
+    ),
+    "disk": (
+        "at least one suspension, nothing left suspended or dropped",
+        lambda e, r: e["raised"] >= 1
+        and e["suspensions"] >= 1
+        and e["suspended_sessions"] == 0
+        and e["dropped_events"] == 0,
+    ),
+    "primary-loss": (
+        "frames shipped, and backup -> restore -> promote digests equal",
+        lambda e, r: e["primary_exitcode"] == -signal.SIGKILL
+        and e["frames_shipped"] >= 1
+        and not e["doctor_problems"]
+        and e["restored_fleet_cost"] == r["fleet_cost"]
+        and e["restored_digests"] == r["digests"],
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One supported matrix cell; ``at`` overrides where its faults
+    strike (see :func:`fault_schedule`)."""
+
+    fault: str
+    tier: str
+    batch: int = 1
+    at: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.fault not in FAULTS or self.tier not in TIERS or self.batch < 1:
+            raise InvalidParameterError(
+                f"no cell {self.name}: faults are {FAULTS}, tiers {TIERS}, "
+                f"and the batch is a positive integer"
+            )
+        reason = UNSUPPORTED.get((self.fault, self.tier))
+        if reason is not None:
+            raise InvalidParameterError(f"{self.name} is unsupported: {reason}")
+
+    @property
+    def name(self) -> str:
+        return f"{self.fault}-{self.tier}-{self.batch}"
+
+    @classmethod
+    def parse(cls, name: str) -> Cell:
+        """``"primary-loss-standby-1"`` -> ``Cell("primary-loss", "standby", 1)``."""
+        try:
+            fault, tier, batch = name.rsplit("-", 2)
+            batch = int(batch)
+        except ValueError:
+            raise InvalidParameterError(
+                f"no cell {name}: cells are named FAULT-TIER-BATCH"
+            ) from None
+        return cls(fault, tier, batch)
+
+
+#: Every supported cell, in the order ``main`` runs them by default.
+MATRIX = [
+    Cell(fault, tier, batch)
+    for fault in FAULTS
+    for tier in TIERS
+    for batch in BATCHES
+    if (fault, tier) not in UNSUPPORTED
+]
+
+
+def _spread(count: int, first: int, span: int, gap: int = 1) -> tuple[int, ...]:
+    """``count`` distinct positions spread evenly over ``span`` from ``first``."""
+    positions: list[int] = []
+    for index in range(count):
+        position = first + (index * span) // count
+        while position in positions:  # keep every fault distinct on short streams
+            position += gap
+        positions.append(position)
+    return tuple(positions)
+
+
+def fault_schedule(cell: Cell, events: int) -> tuple[int, ...]:
+    """Where ``cell``'s faults strike in an ``events``-long stream.
+
+    Event indices on the single and standby tiers, chunk indices on the
+    sharded tier.  A disk cell's windows open at disk-operation ordinals
+    inside the first half of the stream's writes, so the probe backoff
+    heals them with events to spare.  ``cell.at``, when set, is returned
+    as is.
+    """
+    if cell.at:
+        return cell.at
+    chunks = -(-events // cell.batch)
+    if cell.fault == "disk":
+        writes = max(2, events // (2 * cell.batch))
+        return _spread(DISK_WINDOWS, 2, writes, gap=DISK_WINDOW_OPS + 1)
+    if cell.fault == "primary-loss":
+        return (max(1, (2 * events) // 3),)
+    if cell.fault == "poison":
+        return (chunks // 2,)
+    if cell.tier == "sharded":
+        return _spread(WORKER_FAULTS, 1, max(1, chunks - 2))
+    return _spread(KILLS, 1, max(1, events - 2))
+
+
+# -- the stream and the clean run -------------------------------------------
 
 
 def build_fleet_events(
@@ -106,7 +300,6 @@ def run_stream(
     state_dir: str | Path,
     config: SessionConfig,
     *,
-    policy: str = "repair",
     injector: FaultInjector | None = None,
     ledger_path: str | Path | None = None,
     batch: int = 1,
@@ -119,10 +312,9 @@ def run_stream(
     event — a ``"kill"`` fault SIGKILLs the process right there, which
     is the whole point.  ``batch > 1`` serves through the columnar
     ``process_batch`` path in chunks of that size; the injector is still
-    consulted per event index (before the chunk applies), so a kill can
-    land mid-plan and tear a group-commit.  ``fs`` is an optional
-    :class:`repro.engine.faults.FsFaultInjector` threaded into the
-    service's WAL/snapshot writers — the disk-fault chaos hook.
+    consulted per event index, before the chunk applies.  ``fs`` is an
+    optional :class:`repro.engine.faults.FsFaultInjector` threaded into
+    the service's WAL/snapshot writers — the disk-fault hook.
     ``register=True`` serves through a
     :class:`~repro.service.advisor.RegisteredAdvisorService` so the
     state dir carries a vehicle registry — required for a state dir that
@@ -132,7 +324,7 @@ def run_stream(
         RunLedger(ledger_path, append=True) if ledger_path is not None else None
     )
     service_cls = RegisteredAdvisorService if register else AdvisorService
-    service = service_cls(Path(state_dir), config, policy=policy, fs=fs)
+    service = service_cls(Path(state_dir), config, fs=fs)
     if ledger is not None:
         with use_ledger(ledger):
             _serve(service, events, injector, batch)
@@ -166,143 +358,243 @@ def _serve(
         service.process_batch(chunk)
 
 
-def _chaos_child(
-    events, state_dir, config, policy, injector, ledger_path, out_path, batch
-):
-    """Child-process entry: serve the stream, persist the result."""
-    result = run_stream(
-        events,
-        state_dir,
-        config,
-        policy=policy,
-        injector=injector,
-        ledger_path=ledger_path,
-        batch=batch,
-    )
-    Path(out_path).write_text(json.dumps(result, sort_keys=True))
+# -- driving one cell --------------------------------------------------------
 
 
-def run_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    kill_points: list[int],
-    *,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-    batch: int = 1,
-) -> tuple[SoakResult, int]:
-    """Kill/restart the service through ``kill_points``; returns the
-    final completed run's result and the number of restarts taken.
+def run_cell(
+    cell: Cell, events: list[dict], config: SessionConfig, out_dir: str | Path
+) -> tuple[SoakResult, dict]:
+    """Serve ``events`` under ``cell``'s fault; returns the final result
+    and the fault's evidence, for :func:`gate` to judge.
 
-    The kill injector is constructed in *this* (parent) process so the
-    child's pid differs from the creator's and the ``"kill"`` fault
-    delivers a real SIGKILL (see :mod:`repro.engine.faults`); its claim
-    files live under the state directory, so each kill fires exactly
-    once across the whole cycle — do **not** sweep stale claims between
-    restarts, the dead-pid claims are the record of kills already fired.
+    All of the cell's state — service roots, fault claims, the run
+    ledger at ``ledger.jsonl`` — lives under ``out_dir``.  Claims are
+    never swept between restarts: a dead process's claim is the record
+    that its fault already fired.
     """
-    state_dir = Path(state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    injector = FaultInjector(
-        _noop,
-        {index: Fault("kill") for index in kill_points},
-        state_dir / "kill-claims",
-    )
-    out_path = state_dir / "result.json"
-    context = multiprocessing.get_context("spawn")
-    restarts = -1
-    for _attempt in range(len(kill_points) + 2):
-        restarts += 1
-        child = context.Process(
-            target=_chaos_child,
-            args=(
-                events,
-                state_dir,
-                config,
-                policy,
-                injector,
-                ledger_path,
-                out_path,
-                batch,
-            ),
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    at = fault_schedule(cell, len(events))
+    if cell.tier == "sharded":
+        return _run_sharded(cell, at, events, config, out_dir)
+    if cell.tier == "standby":
+        return _run_standby(cell, at, events, config, out_dir)
+    if cell.fault == "disk":
+        fs = FsFaultInjector(
+            {ordinal: FsFault(count=DISK_WINDOW_OPS) for ordinal in at},
+            out_dir / "fs-claims",
         )
-        child.start()
-        child.join()
-        if child.exitcode == 0:
-            return SoakResult(json.loads(out_path.read_text())), restarts
-        if child.exitcode >= 0:
-            raise RuntimeError(f"chaos child failed with exit code {child.exitcode}")
-    raise RuntimeError(
-        f"service did not complete within {len(kill_points) + 2} restarts"
-    )
+        result = run_stream(
+            events,
+            out_dir / "state",
+            config,
+            ledger_path=out_dir / "ledger.jsonl",
+            batch=cell.batch,
+            fs=fs,
+        )
+        durability = result["snapshot"]["durability"]
+        return result, {"windows": len(at), "raised": fs.raised, **durability}
+    return _run_killed(cell, at, events, config, out_dir)
 
 
-def _replica_primary_child(
-    events, state_dir, config, policy, injector, out_path, event_delay
-):
-    """Primary-side child for :func:`run_replica_chaos`: serve with a
-    vehicle registry (a promotable primary) until the injected SIGKILL.
+def _serve_child(cell, events, state_dir, config, injector, ledger_path, out_path):
+    """Child-process entry: serve the stream until the injected SIGKILL.
 
-    The child holds the state dir's ``shard.lock`` like a real primary
-    would, so the later ``promote --fence`` run exercises the owner-token
-    fencing for real: the SIGKILL leaves the lock file behind with a
-    dead owner record, which promotion must recognize as stale (a live
-    record would — correctly — refuse the promotion as split-brain).
-
-    ``event_delay`` paces the stream so the parent's shipping loop
-    genuinely streams mid-run instead of racing a microsecond burst —
-    without it the standby would usually see zero frames before the kill.
+    The child holds the state dir's ``shard.lock`` like a real primary,
+    so a later ``promote --fence`` meets the lock a SIGKILL leaves
+    behind and must recognize its owner as dead.  A standby-tier primary
+    serves registered (promotable) and paced, so the parent's shipping
+    loop streams mid-run.
     """
-    import time
-
     from .shard import acquire_shard_lock, release_shard_lock
 
-    def paced(index):
-        if event_delay:
-            time.sleep(event_delay)
+    standby = cell.tier == "standby"
+
+    def strike(index):
+        if standby:
+            time.sleep(EVENT_DELAY)
         injector(index)
 
-    lock = acquire_shard_lock(Path(state_dir))
+    lock = acquire_shard_lock(state_dir)
     try:
         result = run_stream(
-            events, state_dir, config, policy=policy, injector=paced, register=True
+            events,
+            state_dir,
+            config,
+            injector=strike,
+            ledger_path=ledger_path,
+            batch=cell.batch,
+            register=standby,
         )
     finally:
         release_shard_lock(lock)
     Path(out_path).write_text(json.dumps(result, sort_keys=True))
 
 
-def run_replica_chaos(
-    events: list[dict],
-    out_dir: str | Path,
-    config: SessionConfig,
-    *,
-    kill_point: int,
-    policy: str = "repair",
-    sync_interval: float = 0.01,
-    event_delay: float = 0.005,
-) -> dict:
+def _spawn_child(cell, at, events, config, state_dir, out_dir):
+    """Start a child serving into ``state_dir`` that dies at each of ``at``.
+
+    The kill injector is built here, in the parent, so the child's pid
+    differs from its creator's and a ``"kill"`` fault delivers a real
+    SIGKILL (see :mod:`repro.engine.faults`).
+    """
+    injector = FaultInjector(
+        _noop, {index: Fault("kill") for index in at}, out_dir / "kill-claims"
+    )
+    child = multiprocessing.get_context("spawn").Process(
+        target=_serve_child,
+        args=(
+            cell,
+            events,
+            state_dir,
+            config,
+            injector,
+            out_dir / "ledger.jsonl",
+            out_dir / "result.json",
+        ),
+    )
+    child.start()
+    return child
+
+
+def _run_killed(cell, at, events, config, out_dir):
+    """SIGKILL/restart cycle: every restart recovers from the state dir
+    and replays the stream from the top, so duplicate delivery is the
+    normal case and idempotent ingestion is exercised for free."""
+    for restarts in range(len(at) + 1):
+        child = _spawn_child(cell, at, events, config, out_dir / "state", out_dir)
+        child.join()
+        if child.exitcode == 0:
+            result = SoakResult(json.loads((out_dir / "result.json").read_text()))
+            struck = len(list((out_dir / "kill-claims").glob("*")))
+            return result, {"scheduled": len(at), "struck": struck, "restarts": restarts}
+        if child.exitcode > 0:
+            raise RuntimeError(f"chaos child failed with exit code {child.exitcode}")
+    raise RuntimeError(f"service did not complete within {len(at)} restarts")
+
+
+def _await(done, what: str, timeout: float) -> None:
+    deadline = time.monotonic() + timeout
+    while not done():
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"timed out waiting for {what}")
+        time.sleep(0.02)
+
+
+def _run_sharded(cell, at, events, config, out_dir):
+    """Route the stream in ``cell.batch``-event chunks through a sharded
+    fleet; at each scheduled chunk, strike before submitting it.
+
+    * ``kill``: SIGKILL a live worker (round-robin over shards) while the
+      rest of the fleet keeps serving; the parent respawns it, it
+      recovers its shard from WAL + snapshots, and the unacknowledged
+      chunks are redelivered.
+    * ``hang``: SIGSTOP the worker that owns the chunk's first event and
+      hand it the chunk — alive, pipe open, never acking; the supervisor
+      must notice the silence, SIGKILL and respawn it.
+    * ``poison``: submit one line that SIGKILLs any worker touching it;
+      the supervisor must quarantine it after the poison budget and keep
+      the shard serving everything else.
+    """
+    from .shard import POISON_SIDECAR_NAME, ShardedAdvisorService
+
+    injector = None
+    if cell.fault == "poison":
+        # Claims beyond the budget: every redelivery burns one, and the
+        # line must keep killing until the parent quarantines it.
+        injector = FaultInjector(
+            _noop,
+            {POISON_LINE: Fault("kill", times=4 * POISON_BUDGET)},
+            out_dir / "poison-claims",
+        )
+    service = ShardedAdvisorService(
+        out_dir / "state",
+        config,
+        shards=SHARDS,
+        ledger_path=out_dir / "ledger.jsonl",
+        hang_timeout=HANG_TIMEOUT if cell.fault == "hang" else 30.0,
+        poison_budget=POISON_BUDGET,
+        injector=injector,
+    )
+    struck = 0
+    try:
+        for index in range(0, len(events), cell.batch):
+            chunk = events[index : index + cell.batch]
+            lines = [json.dumps(record) for record in chunk]
+            if index // cell.batch not in at:
+                service.submit_lines(lines)
+                continue
+            if cell.fault == "poison":
+                # Settle first so the poison chunk is the sole head of its
+                # shard's in-flight queue: crash attribution is unambiguous.
+                service.drain(timeout=300.0)
+                service.submit_lines([POISON_LINE])
+                _await(lambda: service.quarantined_chunks >= 1, "quarantine", 120.0)
+                service.submit_lines(lines)
+            else:
+                if cell.fault == "hang":
+                    # Hang detection arms once a worker has spoken since
+                    # its spawn, and idle silence is not a hang: settle
+                    # the fleet, then freeze the chunk's owner before it
+                    # receives the chunk.
+                    service.drain(timeout=300.0)
+                    victim = service.route(chunk[0]["vehicle"])
+                else:
+                    victim = struck % SHARDS
+                baseline = service.restarts[victim]
+                os.kill(
+                    service.worker_pids[victim],
+                    signal.SIGSTOP if cell.fault == "hang" else signal.SIGKILL,
+                )
+                if cell.fault == "hang":
+                    service.submit_lines(lines)  # the frozen owner holds it
+                # Wait for the respawn so consecutive faults cannot
+                # collapse into one observed death.
+                _await(
+                    lambda: service.restarts[victim] > baseline,
+                    f"shard {victim} to respawn",
+                    60.0,
+                )
+                if cell.fault == "kill":
+                    service.submit_lines(lines)
+            struck += 1
+        service.drain(timeout=300.0)
+        digests = service.digests(timeout=120.0)
+        snapshot = service.health_snapshot(timeout=120.0)
+        restarts, hangs = sum(service.restarts), sum(service.hangs)
+    finally:
+        service.close()
+    result = SoakResult(
+        fleet_cost=snapshot["fleet_cost"], digests=digests, snapshot=snapshot
+    )
+    if cell.fault == "poison":
+        sidecar = out_dir / "state" / POISON_SIDECAR_NAME
+        records = [json.loads(line) for line in sidecar.read_text().splitlines()]
+        return result, {
+            "crashes": [record["crashes"] for record in records],
+            "sidecar": [record["lines"] for record in records],
+        }
+    return result, {
+        "scheduled": len(at),
+        "struck": struck,
+        "restarts": restarts,
+        "hangs": hangs,
+    }
+
+
+def _run_standby(cell, at, events, config, out_dir):
     """The disaster-recovery drill: lose the primary, promote, verify.
 
-    A child process serves the stream into ``out_dir/primary`` as a
-    registered (promotable) service and is SIGKILLed at ``kill_point``;
-    meanwhile this process ships WAL frames and snapshots to
-    ``out_dir/standby`` every ``sync_interval`` seconds — but **only
-    while the child is alive**.  The primary's disk is never read after
-    the kill: that is the machine-loss story, and the standby holds only
-    what was shipped in time.
-
-    Recovery then follows the operator runbook end to end: ``promote``
-    the standby (fencing against the dead primary's ``shard.lock``),
-    finish the stream by full redelivery (idempotent ingestion absorbs
-    everything already applied), and round-trip the result through
-    ``backup`` → ``restore`` → ``fleet_doctor`` → ``promote`` to prove
-    the cold-archive path lands on the same digests.  The caller
-    parity-checks the returned ``final`` result against a clean run.
+    A child serves the stream into ``out_dir/primary`` and is SIGKILLed
+    at ``at[0]``; meanwhile this process ships WAL frames and snapshots
+    to ``out_dir/standby`` — but **only while the child is alive**.  The
+    primary's disk is never read after the kill: that is the
+    machine-loss story, and the standby holds only what was shipped in
+    time.  Recovery then follows the operator runbook: ``promote`` the
+    standby (fencing against the dead primary's ``shard.lock``), finish
+    the stream by full redelivery, and round-trip the result through
+    ``backup`` -> ``restore`` -> ``fleet_doctor`` -> ``promote``.
     """
-    import time
-
     from .replica import (
         LocalReplicaTarget,
         backup,
@@ -312,459 +604,97 @@ def run_replica_chaos(
         sync_once,
     )
 
-    out_dir = Path(out_dir)
     primary_dir = out_dir / "primary"
     standby_dir = out_dir / "standby"
-    primary_dir.mkdir(parents=True, exist_ok=True)
-    injector = FaultInjector(
-        _noop, {kill_point: Fault("kill")}, primary_dir / "kill-claims"
-    )
-    result_path = out_dir / "primary-result.json"
-    context = multiprocessing.get_context("spawn")
-    child = context.Process(
-        target=_replica_primary_child,
-        args=(
-            events, primary_dir, config, policy, injector, result_path,
-            event_delay,
-        ),
-    )
-    child.start()
+    child = _spawn_child(cell, at, events, config, primary_dir, out_dir)
     target = LocalReplicaTarget(standby_dir)
-    sync_passes = 0
-    frames_shipped = 0
+    sync_passes = frames_shipped = 0
     while child.is_alive():
-        stats = sync_once(primary_dir, target)
+        frames_shipped += sync_once(primary_dir, target)["frames"]
         sync_passes += 1
-        frames_shipped += stats["frames"]
-        time.sleep(sync_interval)
+        time.sleep(SYNC_INTERVAL)
     child.join()
-    if child.exitcode == 0:
-        raise RuntimeError(
-            f"primary finished the stream without dying — kill point "
-            f"{kill_point} never fired"
-        )
-    if sync_passes == 0 or frames_shipped == 0:
-        raise RuntimeError(
-            "standby never caught a frame before the primary died — "
-            "kill point too early for this sync interval"
-        )
 
-    promoted = promote(standby_dir, config, fence=primary_dir, policy=policy)
-    final = run_stream(events, standby_dir, config, policy=policy, register=True)
-
+    promote(standby_dir, config, fence=primary_dir)
+    final = run_stream(
+        events, standby_dir, config, batch=cell.batch, register=True
+    )
     archive_dir = out_dir / "archive"
     restored_dir = out_dir / "restored"
     backup(standby_dir, archive_dir)
     restore(archive_dir, restored_dir)
-    report = fleet_doctor(
-        restored_dir, archive_dir=archive_dir, verify_restore=True
-    )
-    if not report["ok"]:
-        raise RuntimeError(
-            f"fleet doctor rejected the backup/restore round trip: "
-            f"{report['problems']}"
-        )
-    recovered = promote(restored_dir, config, policy=policy)
-    if recovered["digests"] != final["digests"] or recovered[
-        "fleet_cost"
-    ] != final["fleet_cost"]:
-        raise RuntimeError(
-            "backup -> restore -> promote landed on different digests than "
-            "the live standby"
-        )
-
-    return {
-        "promoted": promoted,
-        "final": final,
+    report = fleet_doctor(restored_dir, archive_dir=archive_dir, verify_restore=True)
+    restored = promote(restored_dir, config)
+    return final, {
+        "primary_exitcode": child.exitcode,
         "sync_passes": sync_passes,
         "frames_shipped": frames_shipped,
-        "restored_digests": recovered["digests"],
+        "doctor_problems": report["problems"],
+        "restored_fleet_cost": restored["fleet_cost"],
+        "restored_digests": restored["digests"],
     }
 
 
-def run_sharded_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    *,
-    shards: int,
-    kills: int = 0,
-    chunk: int = 16,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-) -> tuple[SoakResult, int]:
-    """Serve the stream through a sharded fleet, SIGKILLing live workers.
+# -- the gate ----------------------------------------------------------------
 
-    Chunks of ``chunk`` events are routed through a
-    :class:`~repro.service.shard.ShardedAdvisorService`; at ``kills``
-    evenly spaced chunk boundaries a live worker (round-robin over
-    shards) gets a real ``SIGKILL`` **while the rest of the fleet keeps
-    serving** — the parent detects the death, respawns the worker
-    (which recovers its shard bit-identically from WAL + snapshots) and
-    redelivers the unacknowledged chunks.  Returns the final result and
-    the number of worker restarts observed (must equal ``kills``).
+
+def gate(cell: Cell, result: dict, evidence: dict, clean: dict) -> list[str]:
+    """Every way ``cell``'s run misses the bar; empty means it passed.
+
+    The bar is the same for every cell: fleet cost and per-vehicle
+    digests bit-identical to the clean run, plus the fault's own
+    :data:`EVIDENCE` check.
     """
-    import os
-    import signal
-    import time
-
-    from .shard import ShardedAdvisorService
-
-    service = ShardedAdvisorService(
-        Path(state_dir),
-        config,
-        shards=shards,
-        policy=policy,
-        ledger_path=ledger_path,
-    )
-    chunks = [events[start : start + chunk] for start in range(0, len(events), chunk)]
-    kill_at: dict[int, int] = {}
-    for index in range(kills):
-        slot = 1 + (index * max(1, (len(chunks) - 2))) // max(1, kills)
-        while slot in kill_at:  # keep every kill distinct on short streams
-            slot += 1
-        kill_at[slot] = index % shards
-    fired = 0
-    try:
-        for index, batch in enumerate(chunks):
-            if index in kill_at:
-                victim = kill_at[index]
-                pid = service.worker_pids[victim]
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    fired += 1
-                    # Wait for the respawn so consecutive kills cannot
-                    # collapse into one observed death.
-                    deadline = time.monotonic() + 60.0
-                    baseline = service.restarts[victim]
-                    while service.restarts[victim] == baseline:
-                        if time.monotonic() > deadline:
-                            raise RuntimeError(
-                                f"shard {victim} was not respawned in time"
-                            )
-                        time.sleep(0.02)
-            service.submit_lines([json.dumps(record) for record in batch])
-        service.drain(timeout=300.0)
-        digests = service.digests(timeout=120.0)
-        snapshot = service.health_snapshot(timeout=120.0)
-        restarts = sum(service.restarts)
-    finally:
-        service.close()
-    if restarts != fired:
-        raise RuntimeError(
-            f"expected exactly {fired} worker restart(s), observed {restarts}"
+    problems = []
+    if result["fleet_cost"] != clean["fleet_cost"]:
+        problems.append(
+            f"fleet cost {result['fleet_cost']!r} != clean {clean['fleet_cost']!r}"
         )
-    return (
-        SoakResult(
-            fleet_cost=snapshot["fleet_cost"], digests=digests, snapshot=snapshot
-        ),
-        restarts,
+    mismatched = sorted(
+        vehicle
+        for vehicle in clean["digests"].keys() | result["digests"].keys()
+        if result["digests"].get(vehicle) != clean["digests"].get(vehicle)
     )
-
-
-def run_hang_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    *,
-    shards: int,
-    hangs: int = 1,
-    chunk: int = 16,
-    hang_timeout: float = 2.0,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-) -> tuple[SoakResult, int]:
-    """Freeze live workers with ``SIGSTOP``; the supervisor must notice.
-
-    A SIGSTOPped worker is the canonical hang: the process is alive
-    (``is_alive()`` stays true, the pipe stays open) but it will never
-    ack again.  At ``hangs`` evenly spaced chunk boundaries a worker
-    that owns real vehicles is frozen *after* its chunk is dispatched,
-    so it sits on in-flight work; the parent must detect the silence,
-    SIGKILL it, respawn it, and redeliver — while the rest of the fleet
-    keeps serving.  Returns the final result and the number of hangs
-    the supervisor detected (must equal ``hangs``).
-    """
-    import os
-    import signal
-    import time
-
-    from .shard import ShardedAdvisorService
-
-    service = ShardedAdvisorService(
-        Path(state_dir),
-        config,
-        shards=shards,
-        policy=policy,
-        ledger_path=ledger_path,
-        hang_timeout=hang_timeout,
-    )
-    chunks = [events[start : start + chunk] for start in range(0, len(events), chunk)]
-    freeze_at: set[int] = set()
-    for index in range(hangs):
-        slot = 1 + (index * max(1, len(chunks) - 2)) // max(1, hangs)
-        while slot in freeze_at:
-            slot += 1
-        freeze_at.add(slot)
-    observed = 0
-    try:
-        for index, batch in enumerate(chunks):
-            lines = [json.dumps(record) for record in batch]
-            if index in freeze_at:
-                # Settle the fleet first: hang detection only arms once a
-                # worker has spoken since its last spawn, so freezing a
-                # still-booting worker would be silent-but-excused forever.
-                # After the drain every worker is armed and idle; the
-                # victim owns this chunk's first event, so the SIGSTOP
-                # must come *before* the submit below parks in-flight
-                # work on it — a worker frozen after acking everything is
-                # idle, and idle silence is not a hang.
-                service.drain(timeout=300.0)
-                victim = service.route(batch[0]["vehicle"])
-                pid = service.worker_pids[victim]
-                if pid is not None:
-                    baseline = service.restarts[victim]
-                    os.kill(pid, signal.SIGSTOP)
-                    service.submit_lines(lines)
-                    deadline = time.monotonic() + 60.0
-                    while service.restarts[victim] == baseline:
-                        if time.monotonic() > deadline:
-                            raise RuntimeError(
-                                f"hung shard {victim} was not respawned in time"
-                            )
-                        time.sleep(0.02)
-                    observed += 1
-                    continue
-            service.submit_lines(lines)
-        service.drain(timeout=300.0)
-        digests = service.digests(timeout=120.0)
-        snapshot = service.health_snapshot(timeout=120.0)
-        detected = sum(service.hangs)
-    finally:
-        service.close()
-    if detected != observed:
-        raise RuntimeError(
-            f"expected {observed} detected hang(s), supervisor saw {detected}"
-        )
-    return (
-        SoakResult(
-            fleet_cost=snapshot["fleet_cost"], digests=digests, snapshot=snapshot
-        ),
-        detected,
-    )
-
-
-def run_poison_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    *,
-    shards: int,
-    chunk: int = 16,
-    poison_budget: int = 3,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-) -> tuple[SoakResult, list[dict]]:
-    """One poison chunk must be quarantined; everything else must serve.
-
-    Mid-stream, a single-line chunk whose line deterministically
-    SIGKILLs any worker that touches it (a ``"kill"`` fault keyed to
-    the line, with enough claim budget to survive every redelivery) is
-    submitted on its own.  The supervisor must attribute the crash loop
-    to that chunk, quarantine it to the sidecar with provenance after
-    ``poison_budget`` crashes, and keep the shard serving its other
-    vehicles — the final digests must be bit-identical to a clean run
-    that never saw the poison line.  Returns the final result and the
-    parsed quarantine sidecar records.
-    """
-    import time
-
-    from .shard import POISON_SIDECAR_NAME, ShardedAdvisorService
-
-    state_dir = Path(state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    poison_line = json.dumps(
-        {"id": "poison-0", "vehicle": "poison-pill", "t": -1.0, "stop": 1.0},
-        sort_keys=True,
-    )
-    injector = FaultInjector(
-        _noop,
-        # Claim budget beyond poison_budget: every redelivery attempt
-        # burns one claim, and the quarantine decision happens parent-
-        # side — the line must keep killing until it is quarantined.
-        {poison_line: Fault("kill", times=4 * poison_budget)},
-        state_dir / "poison-claims",
-    )
-    service = ShardedAdvisorService(
-        state_dir,
-        config,
-        shards=shards,
-        policy=policy,
-        ledger_path=ledger_path,
-        injector=injector,
-        poison_budget=poison_budget,
-    )
-    chunks = [events[start : start + chunk] for start in range(0, len(events), chunk)]
-    half = len(chunks) // 2
-    try:
-        for batch in chunks[:half]:
-            service.submit_lines([json.dumps(record) for record in batch])
-        # Drain first so the poison chunk is the sole head of its
-        # shard's in-flight queue — crash attribution is unambiguous.
-        service.drain(timeout=300.0)
-        service.submit_lines([poison_line])
-        deadline = time.monotonic() + 120.0
-        while service.quarantined_chunks < 1:
-            if time.monotonic() > deadline:
-                raise RuntimeError("poison chunk was not quarantined in time")
-            time.sleep(0.02)
-        for batch in chunks[half:]:
-            service.submit_lines([json.dumps(record) for record in batch])
-        service.drain(timeout=300.0)
-        digests = service.digests(timeout=120.0)
-        snapshot = service.health_snapshot(timeout=120.0)
-    finally:
-        service.close()
-    sidecar = state_dir / POISON_SIDECAR_NAME
-    records = [
-        json.loads(line) for line in sidecar.read_text().splitlines() if line.strip()
-    ]
-    if len(records) != 1 or records[0]["lines"] != [poison_line]:
-        raise RuntimeError(f"unexpected quarantine sidecar contents: {records}")
-    return (
-        SoakResult(
-            fleet_cost=snapshot["fleet_cost"], digests=digests, snapshot=snapshot
-        ),
-        records,
-    )
-
-
-def run_disk_fault_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    *,
-    windows: int = 2,
-    window_length: int = 3,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-    batch: int = 1,
-) -> tuple[SoakResult, object]:
-    """Serve through injected ``ENOSPC`` windows; heal bit-identically.
-
-    ``windows`` down-windows of ``window_length`` failing disk
-    operations each are spread over the first half of the stream's
-    write schedule.  While a window is open the service must keep
-    serving (SAFE decisions, zero unhandled exceptions); once the disk
-    heals the buffered tail is replayed and the final state must be
-    bit-identical to a run that never saw a fault.  Returns the final
-    result and the injector (for ``ops``/``raised`` assertions).
-    """
-    from ..engine.faults import FsFault, FsFaultInjector
-
-    state_dir = Path(state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    # One WAL append per event dominates the op schedule; keeping every
-    # window inside the first half of the stream guarantees the probe
-    # backoff drains it with events to spare before the run ends.
-    budget = max(2, len(events) // 2)
-    faults = {}
-    for index in range(windows):
-        ordinal = 2 + (index * budget) // max(1, windows)
-        while ordinal in faults:
-            ordinal += window_length + 1
-        faults[ordinal] = FsFault(count=window_length)
-    fs = FsFaultInjector(faults, state_dir / "fs-claims")
-    result = run_stream(
-        events,
-        state_dir,
-        config,
-        policy=policy,
-        ledger_path=ledger_path,
-        batch=batch,
-        fs=fs,
-    )
-    return result, fs
+    if mismatched:
+        problems.append(f"digests differ from the clean run for {mismatched}")
+    claim, check = EVIDENCE[cell.fault]
+    if not check(evidence, result):
+        problems.append(f"evidence check failed ({claim}): {evidence}")
+    return problems
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .shard import parallel_headroom
+
     parser = argparse.ArgumentParser(
         prog="repro.service.soak",
-        description="SIGKILL soak test: chaos run must cost exactly what the clean run costs.",
+        description="Chaos matrix: every cell's run must cost exactly what "
+        "the clean run costs, and show its fault's evidence.",
+    )
+    parser.add_argument(
+        "cells",
+        nargs="*",
+        metavar="CELL",
+        help=f"cells to run, named FAULT-TIER-BATCH (default: the full matrix); "
+        f"faults {', '.join(FAULTS)}; tiers {', '.join(TIERS)}",
     )
     parser.add_argument("--vehicles", type=int, default=4)
     parser.add_argument("--stops", type=int, default=80, help="stops per vehicle")
-    parser.add_argument("--kills", type=int, default=3, help="SIGKILL injection count")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--area", default="chicago")
     parser.add_argument("--break-even", type=float, default=28.0)
     parser.add_argument("--safe-strategy", choices=("nrand", "det"), default="nrand")
     parser.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        help="serve in columnar chunks of N events; the batched clean run "
-        "is parity-checked against the scalar clean run, and the chaos "
-        "cycle itself runs batched (kills land mid-group-commit)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="also run the stream through an N-shard multi-process fleet "
-        "and parity-check it against the single-process clean run "
-        "(0 = skip the sharded phase)",
-    )
-    parser.add_argument(
-        "--kill-workers",
-        type=int,
-        default=0,
-        help="SIGKILL this many live shard workers mid-stream (requires "
-        "--shards); the fleet must keep serving and every killed shard "
-        "must recover bit-identically",
-    )
-    parser.add_argument(
-        "--hang-workers",
-        type=int,
-        default=0,
-        help="SIGSTOP this many live shard workers mid-stream (requires "
-        "--shards); the supervisor must detect each hang, SIGKILL and "
-        "respawn the worker, and the run must stay bit-identical",
-    )
-    parser.add_argument(
-        "--poison",
-        action="store_true",
-        help="inject one worker-killing poison chunk (requires --shards); "
-        "it must be quarantined with provenance after the poison budget "
-        "while the shard keeps serving everything else",
-    )
-    parser.add_argument(
-        "--disk-faults",
-        type=int,
-        default=0,
-        help="inject this many ENOSPC down-windows into the single-process "
-        "run's disk writes; the service must keep serving SAFE decisions "
-        "and recover bit-identically once the disk heals",
-    )
-    parser.add_argument(
-        "--kill-primary",
-        action="store_true",
-        help="run the disaster-recovery drill: SIGKILL the primary "
-        "two-thirds through the stream while a standby ships its WAL, "
-        "promote the standby (fenced against the dead primary's lock), "
-        "finish the stream, and round-trip backup -> restore -> fleet "
-        "doctor; the result must be bit-identical to the clean run",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=Path("results/soak"), help="artifact directory"
+        "--out",
+        type=Path,
+        default=Path("results"),
+        help="writes SOAK_matrix.json here, and each cell's state under soak/CELL/",
     )
     args = parser.parse_args(argv)
-    if args.kill_workers and not args.shards:
-        parser.error("--kill-workers requires --shards N")
-    if args.hang_workers and not args.shards:
-        parser.error("--hang-workers requires --shards N")
-    if args.poison and not args.shards:
-        parser.error("--poison requires --shards N")
+    try:
+        cells = [Cell.parse(name) for name in args.cells] or MATRIX
+    except InvalidParameterError as exc:
+        parser.error(str(exc))
 
     events = build_fleet_events(args.vehicles, args.stops, args.seed, args.area)
     config = SessionConfig(
@@ -774,234 +704,67 @@ def main(argv: list[str] | None = None) -> int:
         dedup_window=max(1024, args.stops + 1),
         seed=args.seed,
     )
-    rng = np.random.default_rng(args.seed)
-    kill_points = sorted(
-        int(i) for i in rng.choice(np.arange(1, len(events) - 1), size=min(args.kills, len(events) - 2), replace=False)
-    )
-    print(f"{len(events)} events over {args.vehicles} vehicles; kills at {kill_points}")
-
-    clean = run_stream(events, args.out / "clean", config)
-    if args.batch > 1:
-        batched = run_stream(
-            events, args.out / "clean-batch", config, batch=args.batch
-        )
-        if (
-            batched["fleet_cost"] != clean["fleet_cost"]
-            or batched["digests"] != clean["digests"]
-        ):
-            print(
-                f"PARITY FAILED: batched clean run (--batch {args.batch}) "
-                "differs from the scalar clean run",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"batched clean run (--batch {args.batch}) matches scalar")
-    if args.shards:
-        sharded, worker_restarts = run_sharded_chaos(
-            events,
-            args.out / "sharded",
-            config,
-            shards=args.shards,
-            kills=args.kill_workers,
-            chunk=max(args.batch, 8),
-            ledger_path=args.out / "sharded-ledger.jsonl",
-        )
-        if (
-            sharded["fleet_cost"] != clean["fleet_cost"]
-            or sharded["digests"] != clean["digests"]
-        ):
-            mismatched = [
-                vehicle
-                for vehicle in clean["digests"]
-                if sharded["digests"].get(vehicle) != clean["digests"][vehicle]
-            ]
-            print(
-                f"PARITY FAILED: sharded run (--shards {args.shards}, "
-                f"{args.kill_workers} worker kill(s)) mismatched vehicles "
-                f"{mismatched}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"sharded run (--shards {args.shards}) matches single-process "
-            f"after {worker_restarts} worker SIGKILL(s)"
-        )
-        (args.out / "sharded-summary.json").write_text(
-            json.dumps(
-                {
-                    "shards": args.shards,
-                    "worker_kills": args.kill_workers,
-                    "worker_restarts": worker_restarts,
-                    "fleet_cost": sharded["fleet_cost"],
-                    "digests": sharded["digests"],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    if args.hang_workers:
-        hung, detected = run_hang_chaos(
-            events,
-            args.out / "hang",
-            config,
-            shards=args.shards,
-            hangs=args.hang_workers,
-            chunk=max(args.batch, 8),
-            ledger_path=args.out / "hang-ledger.jsonl",
-        )
-        if (
-            hung["fleet_cost"] != clean["fleet_cost"]
-            or hung["digests"] != clean["digests"]
-        ):
-            print(
-                f"PARITY FAILED: hang-chaos run ({args.hang_workers} frozen "
-                "worker(s)) differs from the clean run",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"hang-chaos run matches clean after {detected} detected hang(s) "
-            "(SIGSTOP -> supervisor SIGKILL -> respawn)"
-        )
-    if args.poison:
-        poisoned, quarantined = run_poison_chaos(
-            events,
-            args.out / "poison",
-            config,
-            shards=args.shards,
-            chunk=max(args.batch, 8),
-            ledger_path=args.out / "poison-ledger.jsonl",
-        )
-        if (
-            poisoned["fleet_cost"] != clean["fleet_cost"]
-            or poisoned["digests"] != clean["digests"]
-        ):
-            print(
-                "PARITY FAILED: poison-chaos run differs from the clean run",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"poison-chaos run matches clean; {len(quarantined)} chunk(s) "
-            f"quarantined after {quarantined[0]['crashes']} crash(es)"
-        )
-    if args.disk_faults:
-        faulted, fs = run_disk_fault_chaos(
-            events,
-            args.out / "disk",
-            config,
-            windows=args.disk_faults,
-            ledger_path=args.out / "disk-ledger.jsonl",
-            batch=args.batch,
-        )
-        durability = faulted["snapshot"]["durability"]
-        if (
-            faulted["fleet_cost"] != clean["fleet_cost"]
-            or faulted["digests"] != clean["digests"]
-        ):
-            print(
-                f"PARITY FAILED: disk-fault run ({args.disk_faults} ENOSPC "
-                "window(s)) differs from the clean run",
-                file=sys.stderr,
-            )
-            return 1
-        if durability["suspensions"] < 1 or fs.raised < 1:
-            print(
-                "DISK-FAULT CHECK FAILED: no suspension was ever triggered "
-                f"(suspensions={durability['suspensions']}, raised={fs.raised})",
-                file=sys.stderr,
-            )
-            return 1
-        if durability["suspended_sessions"] or durability["dropped_events"]:
-            print(
-                f"DISK-FAULT CHECK FAILED: durability did not heal cleanly "
-                f"({durability})",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"disk-fault run matches clean after {durability['suspensions']} "
-            f"suspension(s) ({fs.raised} injected write failure(s), "
-            f"{durability['resumes']} resume(s))"
-        )
-    if args.kill_primary:
-        replica = run_replica_chaos(
-            events,
-            args.out / "replica",
-            config,
-            kill_point=max(1, (2 * len(events)) // 3),
-        )
-        final = replica["final"]
-        if (
-            final["fleet_cost"] != clean["fleet_cost"]
-            or final["digests"] != clean["digests"]
-        ):
-            mismatched = [
-                vehicle
-                for vehicle in clean["digests"]
-                if final["digests"].get(vehicle) != clean["digests"][vehicle]
-            ]
-            print(
-                f"PARITY FAILED: promoted-standby run mismatched vehicles "
-                f"{mismatched}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"promoted standby matches clean after primary SIGKILL "
-            f"({replica['sync_passes']} sync pass(es), "
-            f"{replica['frames_shipped']} frame(s) shipped before the kill); "
-            f"backup/restore round trip verified"
-        )
-        (args.out / "replica-summary.json").write_text(
-            json.dumps(
-                {
-                    "kill_point": max(1, (2 * len(events)) // 3),
-                    "sync_passes": replica["sync_passes"],
-                    "frames_shipped": replica["frames_shipped"],
-                    "fleet_cost": final["fleet_cost"],
-                    "digests": final["digests"],
-                    "restored_digests": replica["restored_digests"],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    chaos, restarts = run_chaos(
-        events,
-        args.out / "chaos",
-        config,
-        kill_points,
-        ledger_path=args.out / "chaos-ledger.jsonl",
-        batch=args.batch,
-    )
-    print(f"clean fleet cost: {clean['fleet_cost']!r}")
-    print(f"chaos fleet cost: {chaos['fleet_cost']!r} ({restarts} restart(s))")
-    ledger_records = read_ledger(args.out / "chaos-ledger.jsonl")
-    print(f"chaos ledger: {len(ledger_records)} record(s)")
-    (args.out / "soak-summary.json").write_text(
+    root = args.out / "soak"
+    print(f"{len(events)} events over {args.vehicles} vehicles; {len(cells)} cell(s)")
+    # A rerun starts from scratch: an earlier run's fault claims would
+    # mark every fault as already fired.
+    for name in ["clean"] + [cell.name for cell in cells]:
+        shutil.rmtree(root / name, ignore_errors=True)
+    clean = run_stream(events, root / "clean", config)
+    verdicts = {}
+    for cell in cells:
+        start = time.perf_counter()
+        try:
+            result, evidence = run_cell(cell, events, config, root / cell.name)
+            problems = gate(cell, result, evidence, clean)
+        except Exception as exc:  # a broken cell must not hide the others' verdicts
+            traceback.print_exc()
+            evidence, problems = {}, [f"{type(exc).__name__}: {exc}"]
+        wall = time.perf_counter() - start
+        verdicts[cell.name] = {
+            "verdict": "fail" if problems else "pass",
+            "wall_s": round(wall, 2),
+            "evidence_check": EVIDENCE[cell.fault][0],
+            "evidence": evidence,
+            "problems": problems,
+        }
+        print(f"{'FAIL' if problems else 'pass'}  {cell.name:<24} {wall:6.1f} s")
+        for problem in problems:
+            print(f"      {problem}", file=sys.stderr)
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "SOAK_matrix.json").write_text(
         json.dumps(
             {
+                "stream": {
+                    "vehicles": args.vehicles,
+                    "stops": args.stops,
+                    "seed": args.seed,
+                    "area": args.area,
+                    "events": len(events),
+                },
                 "config": asdict(config),
-                "batch": args.batch,
-                "kill_points": kill_points,
-                "restarts": restarts,
-                "clean": clean,
-                "chaos": chaos,
+                "host": {
+                    "cpu_count": parallel_headroom(),
+                    "platform": platform.platform(),
+                    "python": platform.python_version(),
+                },
+                "clean": {"fleet_cost": clean["fleet_cost"], "digests": clean["digests"]},
+                "cells": verdicts,
+                "unsupported": {
+                    f"{fault}-{tier}": reason
+                    for (fault, tier), reason in UNSUPPORTED.items()
+                },
             },
             indent=2,
             sort_keys=True,
         )
+        + "\n"
     )
-    if chaos["fleet_cost"] != clean["fleet_cost"] or chaos["digests"] != clean["digests"]:
-        mismatched = [
-            vehicle
-            for vehicle in clean["digests"]
-            if chaos["digests"].get(vehicle) != clean["digests"][vehicle]
-        ]
-        print(f"PARITY FAILED: mismatched vehicles {mismatched}", file=sys.stderr)
+    failed = [name for name, verdict in verdicts.items() if verdict["problems"]]
+    if failed:
+        print(f"PARITY FAILED: {failed}", file=sys.stderr)
         return 1
-    print("PARITY OK: chaos run is bit-identical to the clean run")
+    print("PARITY OK: every cell is bit-identical to the clean run")
     return 0
 
 

@@ -167,33 +167,8 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
 
     def append(self, record: dict) -> None:
-        """Durably append one record (flush always; fsync on request).
-
-        A previous crash can leave the file without a trailing newline.
-        Appending blindly would merge the new frame into that tail, so
-        the tail is healed first: a complete frame that lost only its
-        newline gets one (the record is preserved); a partial frame is
-        truncated away (it was never durable).
-        """
-        self._check("wal-append")
-        with open(self.path, "a+b") as handle:
-            size = handle.seek(0, os.SEEK_END)
-            if size:
-                handle.seek(size - 1)
-                if handle.read(1) != b"\n":
-                    handle.seek(0)
-                    data = handle.read()
-                    cut = data.rfind(b"\n") + 1
-                    tail = data[cut:].decode(errors="replace")
-                    if _unframe(tail) is not None:
-                        handle.write(b"\n")
-                    else:
-                        handle.truncate(cut)
-            handle.write((_frame(record) + "\n").encode())
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-                self._sync_dir_once()
+        """Durably append one record: a group commit of one."""
+        self.append_many([record])
 
     def _sync_dir_once(self) -> None:
         """Make the log's directory entry durable, once per instance.
@@ -217,6 +192,12 @@ class WriteAheadLog:
         single ``write`` is atomic, but it does append sequentially;
         the prefix property is all recovery needs, and the torn-anywhere
         Hypothesis property in ``tests/test_service_wal.py`` pins it.)
+
+        A previous crash can leave the file without a trailing newline.
+        Appending blindly would merge the new frames into that tail, so
+        the tail is healed first: a complete frame that lost only its
+        newline gets one (the record is preserved); a partial frame is
+        truncated away (it was never durable).
         """
         if not records:
             return

@@ -40,7 +40,7 @@ from repro.engine.ledger import RunLedger, use_ledger
 from repro.errors import DataValidationError
 from repro.service import AdvisorService, AdvisorSession, SessionConfig
 from repro.service.batch import ColumnarRun, MalformedEvent, plan_chunk
-from repro.service.soak import build_fleet_events, run_chaos, run_stream
+from repro.service.soak import Cell, build_fleet_events, run_cell, run_stream
 
 B = 28.0
 
@@ -369,9 +369,9 @@ def test_sigkill_chaos_in_batch_mode(tmp_path):
     batched_clean = run_stream(events, tmp_path / "clean-batch", config, batch=8)
     assert batched_clean["digests"] == clean["digests"]
     assert batched_clean["fleet_cost"] == clean["fleet_cost"]
-    chaos, restarts = run_chaos(
-        events, tmp_path / "chaos", config, [17, 44], batch=8
+    chaos, evidence = run_cell(
+        Cell("kill", "single", 8, at=(17, 44)), events, config, tmp_path / "chaos"
     )
-    assert restarts >= 2
+    assert evidence["restarts"] >= 2
     assert chaos["digests"] == clean["digests"]
     assert chaos["fleet_cost"] == clean["fleet_cost"]

@@ -8,11 +8,12 @@ Two layers:
   redelivering the FULL stream, yields a state digest bit-identical to
   an uninterrupted in-memory run;
 * the acceptance chaos pin — a real SIGKILL delivered at arbitrary
-  event indices via :func:`repro.service.soak.run_chaos`, restart from
+  event indices via :func:`repro.service.soak.run_cell`, restart from
   ``--state-dir``, per-vehicle thresholds (RNG stream included) and
   total cost bit-identical to the uninterrupted run.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -21,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import AdvisorSession, SessionConfig
-from repro.service.soak import build_fleet_events, run_chaos, run_stream
+from repro.service import AdvisorSession, SessionConfig, soak
+from repro.service.soak import Cell, build_fleet_events, run_cell, run_stream
 
 B = 28.0
 N_EVENTS = 40
@@ -166,16 +167,46 @@ class TestSigkillChaosPin:
             seed=3,
         )
         clean = run_stream(events, tmp_path / "clean", config)
-        kill_points = [17, 41]
-        chaos, restarts = run_chaos(
+        kill_points = (17, 41)
+        chaos, evidence = run_cell(
+            Cell("kill", "single", 1, at=kill_points),
             events,
-            tmp_path / "chaos",
             config,
-            kill_points,
-            ledger_path=tmp_path / "chaos-ledger.jsonl",
+            tmp_path / "chaos",
         )
-        assert restarts == len(kill_points)  # each kill fired exactly once
+        assert evidence["restarts"] == len(kill_points)  # each kill fired exactly once
         assert chaos["fleet_cost"] == clean["fleet_cost"]  # exact, not approx
         assert chaos["digests"] == clean["digests"]
         # The ledger survived the kills and is readable.
-        assert (tmp_path / "chaos-ledger.jsonl").exists()
+        assert (tmp_path / "chaos" / "ledger.jsonl").exists()
+
+
+class TestChaosMatrix:
+    def test_every_fault_and_tier_pair_is_a_cell_or_unsupported(self):
+        pairs = {(fault, tier) for fault in soak.FAULTS for tier in soak.TIERS}
+        supported = {(cell.fault, cell.tier) for cell in soak.MATRIX}
+        assert supported.isdisjoint(soak.UNSUPPORTED)
+        assert supported | set(soak.UNSUPPORTED) == pairs
+        assert all(Cell.parse(cell.name) == cell for cell in soak.MATRIX)
+
+    def test_gate_fails_on_parity_or_evidence(self):
+        cell = Cell("kill", "single")
+        clean = {"fleet_cost": 1.0, "digests": {"v1": "a"}}
+        evidence = {"scheduled": 3, "struck": 3, "restarts": 3}
+        assert soak.gate(cell, clean, evidence, clean) == []
+        drifted = {"fleet_cost": 1.0, "digests": {"v1": "b"}}
+        assert soak.gate(cell, drifted, evidence, clean)
+        assert soak.gate(cell, clean, {**evidence, "restarts": 2}, clean)
+
+    def test_cli_writes_the_verdict_table(self, tmp_path, capsys):
+        argv = ["disk-single-1", "--vehicles", "2", "--stops", "12", "--out", str(tmp_path)]
+        assert soak.main(argv) == 0
+        verdict = json.loads((tmp_path / "SOAK_matrix.json").read_text())["cells"]
+        assert verdict["disk-single-1"]["verdict"] == "pass"
+        assert verdict["disk-single-1"]["evidence"]["suspensions"] >= 1
+
+    @pytest.mark.parametrize("name", ["hang-single-1", "melt-single-1", "kill-single"])
+    def test_cli_rejects_unsupported_and_unknown_cells(self, tmp_path, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            soak.main([name, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2

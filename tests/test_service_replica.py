@@ -17,6 +17,7 @@ import contextlib
 import json
 import os
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.faults import FsFault, FsFaultInjector, NetFault, NetFaultInjector
-from repro.service.advisor import AdvisorService, RegisteredAdvisorService
+from repro.service.advisor import REGISTRY_NAME, AdvisorService, RegisteredAdvisorService
 from repro.service.replica import (
     LocalReplicaTarget,
     RemoteReplicaTarget,
@@ -638,7 +639,7 @@ class TestKillPrimaryChaosPin:
 
     @pytest.mark.slow
     def test_killed_primary_promoted_standby_is_bit_identical(self, tmp_path):
-        from repro.service.soak import run_replica_chaos
+        from repro.service.soak import Cell, gate, run_cell
 
         events = build_fleet_events(vehicles=2, stops_per_vehicle=20, seed=3)
         config = SessionConfig(
@@ -649,19 +650,17 @@ class TestKillPrimaryChaosPin:
             seed=3,
         )
         clean = run_stream(events, tmp_path / "clean", config, register=True)
-        result = run_replica_chaos(
-            events,
-            tmp_path / "chaos",
-            config,
-            kill_point=(2 * len(events)) // 3,
-        )
-        # run_replica_chaos already raises on backup/restore divergence;
-        # the promoted-standby parity against a never-failed run is ours.
-        assert result["final"]["fleet_cost"] == clean["fleet_cost"]
-        assert result["final"]["digests"] == clean["digests"]
-        assert result["sync_passes"] >= 1
-        assert result["frames_shipped"] >= 1
-        assert result["restored_digests"] == clean["digests"]
+        cell = Cell("primary-loss", "standby", 1, at=((2 * len(events)) // 3,))
+        final, evidence = run_cell(cell, events, config, tmp_path / "chaos")
+        # The gate holds the primary's SIGKILL, the fleet doctor's verdict
+        # and backup -> restore -> promote parity; the promoted-standby
+        # parity against a never-failed run is ours.
+        assert gate(cell, final, evidence, clean) == []
+        assert final["fleet_cost"] == clean["fleet_cost"]
+        assert final["digests"] == clean["digests"]
+        assert evidence["sync_passes"] >= 1
+        assert evidence["frames_shipped"] >= 1
+        assert evidence["restored_digests"] == clean["digests"]
 
 
 # -- durable summaries ------------------------------------------------------
@@ -684,3 +683,24 @@ class TestDurableSummary:
         (tmp_path / "backup.manifest.json").write_text("junk with no frame\n")
         with pytest.raises(ReplicationError, match="CRC"):
             read_manifest(tmp_path)
+
+
+class TestVehicleRegistry:
+    def test_large_registry_loads_linearly_in_first_seen_order(self, tmp_path):
+        """Every shard respawn and ``promote`` replays the registry."""
+        ids = [f"veh-{index:06d}" for index in range(100_000)]
+        lines = []
+        for index, vehicle_id in enumerate(ids):
+            lines.append(json.dumps(vehicle_id))
+            if index % 3 == 0:  # an earlier id re-registered after a crash
+                lines.append(json.dumps(ids[index // 2]))
+        lines.append('"veh-torn')  # torn final line, no newline
+        (tmp_path / REGISTRY_NAME).write_text("\n".join(lines))
+        start = time.perf_counter()
+        service = RegisteredAdvisorService(tmp_path, CONFIG, recover=False)
+        elapsed = time.perf_counter() - start
+        try:
+            assert list(service._registered) == ids
+        finally:
+            service.close()
+        assert elapsed < 10.0

@@ -34,7 +34,7 @@ from repro.service.shard import (
     release_shard_lock,
     sweep_stale_shard_locks,
 )
-from repro.service.soak import build_fleet_events, run_sharded_chaos
+from repro.service.soak import Cell, build_fleet_events, run_cell
 
 B = 28.0
 
@@ -279,22 +279,6 @@ def test_cache_doctor_sweeps_shard_locks(tmp_path, capsys):
 # -- backpressure warnings (satellite: rate-limited ledger event) ---------
 
 
-def test_offer_shed_emits_rate_limited_ledger_warning(tmp_path):
-    ledger = RunLedger()
-    service = AdvisorService(tmp_path / "svc", CONFIG, max_queue=1)
-    with use_ledger(ledger):
-        service.offer({"id": "e-0", "vehicle": "v", "t": 0.0, "stop": 1.0})
-        for index in range(2001):
-            service.offer({"id": f"e-{index + 1}", "vehicle": "v", "t": 0.0, "stop": 1.0})
-    warnings = [r for r in ledger.events if r["event"] == "advisor-backpressure"]
-    # shed 2001 times: warned at shed==1, 1000 and 2000 — not 2001 times.
-    assert [w["shed"] for w in warnings] == [1, 1000, 2000]
-    assert all(w["tier"] == "service" for w in warnings)
-    assert service.shed == 2001
-    service.drain()
-    service.close()
-
-
 def test_sharded_offer_lines_sheds_and_warns(tmp_path):
     ledger = RunLedger()
     with use_ledger(ledger):
@@ -340,10 +324,10 @@ def test_tier_shed_counts_per_shard_with_offer_warn_cadence(tmp_path):
         service._note_shed(1, 2)    # first shed on shard 1 -> warn
         service._note_shed(1, 500)  # 502 total: quiet
     warnings = [r for r in ledger.events if r["event"] == "advisor-backpressure"]
-    # Cadence matches AdvisorService.offer per shard (first shed, then
-    # every 1000th), stated as a boundary crossing so the multi-event
-    # jump over 1000 still warns; shard 1's first shed warns even
-    # though the *aggregate* was already past 1000.
+    # Cadence per shard: the first shed, then every 1000th, stated as
+    # a boundary crossing so the multi-event jump over 1000 still
+    # warns; shard 1's first shed warns even though the *aggregate* was
+    # already past 1000.
     assert [(w["shard"], w["shed"], w["shed_total"]) for w in warnings] == [
         (0, 1, 1),
         (0, 1003, 1003),
@@ -415,10 +399,10 @@ def test_worker_sigkill_chaos_recovers_bit_identically(tmp_path):
     lines = [json.dumps(event) for event in events]
     _, digests_single, cost_single = _single_reference(tmp_path, lines)
 
-    result, restarts = run_sharded_chaos(
-        events, tmp_path / "fleet", CONFIG, shards=2, kills=2, chunk=8
+    result, evidence = run_cell(
+        Cell("kill", "sharded", 8), events, CONFIG, tmp_path / "fleet"
     )
-    assert restarts == 2
+    assert evidence["restarts"] == 2
     assert result["digests"] == digests_single
     assert result["fleet_cost"] == cost_single
     assert result["snapshot"]["routing"]["restarts"] == 2
