@@ -43,6 +43,8 @@ Subcommands
     detection and graceful degradation; prints the fleet health
     snapshot (``--health FILE`` also writes it as JSON).  Restarting
     with the same ``--state-dir`` recovers every session bit-identically.
+    ``--shards N`` spreads vehicles over N worker processes and
+    ``--listen ADDR`` also serves JSONL and ``GET /health`` on a socket.
 ``ledger <path>``
     Summarize a JSONL run ledger (tolerates a truncated final line —
     the crash-tolerant reader) including advisor state transitions.
@@ -362,14 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact the WAL into a snapshot every N applied events",
     )
     serve.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        help="columnar ingest: apply N events per WAL group-commit chunk "
-        "(default 1 = the per-event scalar loop; any N is bit-identical "
-        "to it — see docs/serving.md)",
-    )
-    serve.add_argument(
         "--health",
         type=Path,
         default=None,
@@ -389,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="sharded serving: consistent-hash-route vehicles across N "
         "worker processes, each owning one shard of --state-dir "
-        "(see docs/serving.md 'Sharded serving')",
+        "(default: one in-process shard; see docs/serving.md "
+        "'Sharded serving')",
     )
     serve.add_argument(
         "--hang-timeout",
@@ -423,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ADDR",
         help="also accept JSONL over a socket: unix:PATH, HOST:PORT or "
-        ":PORT; GET /health on the same socket returns the fleet "
-        "snapshot (requires --shards; pass events '-' with no piped "
-        "stdin to serve socket-only)",
+        ":PORT; GET /health and GET /ready on the same socket return the "
+        "fleet snapshot and the readiness verdict (pass events '-' with "
+        "no piped stdin to serve socket-only)",
     )
     serve.add_argument(
         "--predictor",
@@ -1086,20 +1081,25 @@ def _data_doctor(args) -> int:
 
 
 def _serve(args) -> int:
-    """``serve``: stream JSONL stop events through the advisor service."""
+    """``serve``: stream JSONL stop events through the shard tier.
+
+    Without ``--shards`` one in-process shard serves ``--state-dir``;
+    ``--shards N`` routes vehicles by consistent hash across N worker
+    processes (one per ``<state-dir>/shard-NN`` for N >= 2).  Events
+    come from the file or stdin, and ``--listen`` also accepts JSONL
+    plus ``GET /health`` and ``GET /ready`` on a socket.  The ledger
+    (``--ledger``) carries tier events and an in-process shard's
+    advisor-state events; each worker appends its advisor-state events
+    to ``<ledger>.shard-NN``.
+    """
     import json
 
-    from .service import AdvisorService
+    from .service.frontend import CHUNK_LINES, JsonlFrontend
     from .service.session import SessionConfig
+    from .service.shard import ShardedAdvisorService
 
-    if args.batch < 1:
-        print(f"error: --batch must be >= 1, got {args.batch}", file=sys.stderr)
-        return 2
     if args.shards is not None and args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    if args.listen is not None and args.shards is None:
-        print("error: --listen requires --shards N", file=sys.stderr)
         return 2
     _warn_break_even(args.break_even)
     config_kwargs = dict(
@@ -1126,121 +1126,31 @@ def _serve(args) -> int:
         config = AugmentedSessionConfig(**config_kwargs)
     else:
         config = SessionConfig(**config_kwargs)
-    if args.shards is not None:
-        return _serve_sharded(args, config)
     ledger = (
         RunLedger(args.ledger, fsync=args.fsync, append=True)
         if args.ledger is not None
         else None
     )
-    service = AdvisorService(
-        args.state_dir,
-        config,
-        policy=args.policy,
-        fsync=args.fsync,
-    )
 
-    def _pump(handle) -> None:
-        if args.batch == 1:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    service.ingest_line(line)
-            return
-        chunk: list[str] = []
+    def _pump(service, handle) -> None:
+        pending: list[str] = []
         for line in handle:
             line = line.strip()
             if line:
-                chunk.append(line)
-                if len(chunk) >= args.batch:
-                    service.ingest_lines(chunk)
-                    chunk.clear()
-        if chunk:
-            service.ingest_lines(chunk)
-
-    def _stream() -> None:
-        # close() in finally: even a mid-stream failure (strict-policy
-        # validation error, I/O error) must flush durable state and the
-        # quarantine sidecar.
-        try:
-            if args.events == "-":
-                _pump(sys.stdin)
-            else:
-                with open(args.events) as handle:
-                    _pump(handle)
-        finally:
-            service.close()
-
-    if ledger is not None:
-        with use_ledger(ledger):
-            _stream()
-    else:
-        _stream()
-
-    snapshot = service.health_snapshot()
-    ingest = snapshot["ingest"]
-    print(f"fleet cost:  {snapshot['fleet_cost']:.1f} idle-s "
-          f"over {len(snapshot['vehicles'])} vehicle(s)")
-    print(f"ingestion:   {ingest['received']} received, "
-          f"{ingest['duplicates']} duplicate(s), {ingest['rejected']} rejected, "
-          f"{ingest['malformed']} malformed")
-    if args.batch > 1:
-        batch = ingest["batch"]
-        print(f"batched:     {batch['chunks']} chunk(s) of <= {args.batch}, "
-              f"{batch['events']} event(s), "
-              f"{batch['events_per_s']:.0f} events/s")
-    rows = [
-        (
-            info["vehicle"],
-            info["health"],
-            info["strategy"],
-            str(info["applied"]),
-            f"{info['total_cost']:.1f}",
-            str(len(info["transitions"])),
-        )
-        for info in snapshot["vehicles"].values()
-    ]
-    print(format_table(
-        ("vehicle", "health", "strategy", "applied", "cost", "transitions"), rows
-    ))
-    if args.health is not None:
-        args.health.parent.mkdir(parents=True, exist_ok=True)
-        args.health.write_text(json.dumps(snapshot, indent=2, sort_keys=True))
-        print(f"health snapshot written to {args.health}")
-    if ledger is not None and ledger.path is not None:
-        print(f"ledger appended at {ledger.path}")
-    return 0
-
-
-def _serve_sharded(args, config) -> int:
-    """``serve --shards N``: the consistent-hash multi-process fleet.
-
-    Vehicles are routed across N worker processes (each owning one
-    shard of ``--state-dir``); ``--listen`` additionally serves JSONL +
-    ``GET /health`` over a socket through the asyncio front end.  The
-    parent's ledger (``--ledger``) carries tier events (shard restarts,
-    backpressure); each worker appends its advisor-state events to
-    ``<ledger>.shard-NN``.
-    """
-    import json
-
-    from .service.frontend import JsonlFrontend
-    from .service.shard import ShardedAdvisorService
-
-    ledger = (
-        RunLedger(args.ledger, fsync=args.fsync, append=True)
-        if args.ledger is not None
-        else None
-    )
-    # Sub-batch routing granularity: workers always take the columnar
-    # ingest path, so a --batch 1 default still ships useful chunks.
-    chunk_size = args.batch if args.batch > 1 else 1024
+                pending.append(line)
+                if len(pending) >= CHUNK_LINES:
+                    service.submit_lines(pending)
+                    pending.clear()
+        if pending:
+            service.submit_lines(pending)
+        service.drain()
 
     def _run() -> dict:
         service = ShardedAdvisorService(
             args.state_dir,
             config,
-            shards=args.shards,
+            shards=args.shards or 1,
+            workers=args.shards is not None,
             policy=args.policy,
             fsync=args.fsync,
             ledger_path=None if args.ledger is None else str(args.ledger),
@@ -1248,11 +1158,14 @@ def _serve_sharded(args, config) -> int:
             restart_budget=args.restart_budget,
             poison_budget=args.poison_budget,
         )
+        # close() in finally: even a mid-stream failure (strict-policy
+        # validation error, I/O error) must flush durable state and the
+        # quarantine sidecar.
         try:
             if args.listen is not None:
                 import asyncio
 
-                frontend = JsonlFrontend(service, batch=chunk_size)
+                frontend = JsonlFrontend(service)
                 stdin = None
                 if args.events != "-":
                     stdin = open(args.events)
@@ -1263,25 +1176,11 @@ def _serve_sharded(args, config) -> int:
                 finally:
                     if stdin is not None and stdin is not sys.stdin:
                         stdin.close()
+            elif args.events == "-":
+                _pump(service, sys.stdin)
             else:
-                def _pump(handle) -> None:
-                    pending: list[str] = []
-                    for line in handle:
-                        line = line.strip()
-                        if line:
-                            pending.append(line)
-                            if len(pending) >= chunk_size:
-                                service.submit_lines(pending)
-                                pending.clear()
-                    if pending:
-                        service.submit_lines(pending)
-
-                if args.events == "-":
-                    _pump(sys.stdin)
-                else:
-                    with open(args.events) as handle:
-                        _pump(handle)
-                service.drain()
+                with open(args.events) as handle:
+                    _pump(service, handle)
             return service.health_snapshot(include_vehicles=True)
         finally:
             service.close()
@@ -1301,28 +1200,42 @@ def _serve_sharded(args, config) -> int:
           f"{ingest['malformed']} malformed")
     print(f"sharded:     {routing['shards']} shard(s), "
           f"{routing['dispatched_events']} event(s) routed, "
-          f"{routing['restarts']} worker restart(s), "
-          f"{routing['shed_events']} shed at the tier")
-    hangs = routing.get("hangs", 0)
-    quarantined = routing.get("quarantined_chunks", 0)
-    breakers = routing.get("breaker_open", [])
+          f"{routing['restarts']} worker restart(s)")
+    hangs = routing["hangs"]
+    quarantined = routing["quarantined_chunks"]
+    breakers = routing["breaker_open"]
     if hangs or quarantined or breakers:
         print(f"supervision: {hangs} hang(s) detected, "
               f"{quarantined} chunk(s) quarantined "
-              f"({routing.get('quarantined_events', 0)} event(s)), "
+              f"({routing['quarantined_events']} event(s)), "
               f"breaker open on {breakers or 'no'} shard(s), "
-              f"{routing.get('breaker_shed', 0)} event(s) shed to breakers")
+              f"{routing['breaker_shed']} event(s) shed to breakers")
     rows = [
         (
-            str(row["shard"]),
-            str(row["vehicles"]),
-            f"{row['fleet_cost']:.1f}",
-            str(row.get("events_acked", "-")),
-            str(row.get("restarts", "-")),
+            info["vehicle"],
+            info["health"],
+            info["strategy"],
+            str(info["applied"]),
+            f"{info['total_cost']:.1f}",
+            str(len(info["transitions"])),
         )
-        for row in snapshot["shards"]
+        for info in snapshot["vehicles"].values()
     ]
-    print(format_table(("shard", "vehicles", "cost", "events", "restarts"), rows))
+    print(format_table(
+        ("vehicle", "health", "strategy", "applied", "cost", "transitions"), rows
+    ))
+    if routing["shards"] > 1:
+        rows = [
+            (
+                str(row["shard"]),
+                str(row["vehicles"]),
+                "-" if row["fleet_cost"] is None else f"{row['fleet_cost']:.1f}",
+                str(row.get("events_acked", "-")),
+                str(row.get("restarts", "-")),
+            )
+            for row in snapshot["shards"]
+        ]
+        print(format_table(("shard", "vehicles", "cost", "events", "restarts"), rows))
     if args.health is not None:
         args.health.parent.mkdir(parents=True, exist_ok=True)
         args.health.write_text(json.dumps(snapshot, indent=2, sort_keys=True))

@@ -6,9 +6,9 @@ directory (WAL + snapshot), and a shared validation report/quarantine
 sidecar:
 
 * ``process(record)`` validates and routes one raw event (the
-  file/stdin serving loop);
+  per-event scalar path);
 * ``process_batch(records)`` / ``ingest_lines(lines)`` are the columnar
-  fast path (``serve --batch N``): a chunk is planned into per-vehicle
+  fast path (what ``serve`` runs): a chunk is planned into per-vehicle
   runs (:mod:`repro.service.batch`) and each run applied through one
   vectorized group-commit — bit-identical to the scalar loop (the
   equivalence harness in ``tests/test_service_batch.py`` pins it).
@@ -192,12 +192,12 @@ class AdvisorService:
     # -- ingestion --------------------------------------------------------
 
     def process(self, record) -> dict | None:
-        """Validate and apply one event (the serving loop's hot path)."""
+        """Validate and apply one event (the per-event scalar path)."""
         self.received += 1
         return self._handle(record)
 
     def ingest_line(self, line: str) -> dict | None:
-        """Parse one JSONL event line and process it (the ``serve`` loop).
+        """Parse one JSONL event line and process it (one event at a time).
 
         Undecodable lines are policy-handled as ``malformed-event`` —
         the raw line goes to the quarantine sidecar under the
@@ -405,7 +405,9 @@ class AdvisorService:
         return gate_on_replication(self.replication, reasons)
 
     def close(self) -> None:
-        """Flush durable state: final compaction for every session.
+        """Flush durable state: a final compaction for every session with
+        work since its last one (a warm-recovered fleet that received
+        nothing rewrites no snapshot).
 
         A durability-suspended session gets one forced probe first — the
         last chance to land its buffered tail before the process exits
@@ -415,7 +417,8 @@ class AdvisorService:
         for session in self.sessions.values():
             if session.durability_suspended:
                 session.probe_durability()
-            session.compact()
+            if session.dirty:
+                session.compact()
         self._enforcer.close()
 
 

@@ -12,9 +12,11 @@ snapshot); ``/ready`` is the serving gate — 200 only when every shard's
 worker is alive, no circuit breaker is open, and no session is
 durability-suspended, 503 with the reasons otherwise.
 
-The event loop only routes bytes; all advisor work happens in the shard
-worker processes (reached through ``asyncio.to_thread`` so a slow fleet
-never blocks accepting connections).  Reads are micro-batched: lines
+The event loop only routes bytes; all advisor work happens off it,
+through ``asyncio.to_thread``, so a slow fleet never blocks accepting
+connections — in the shard worker processes, or for plain ``serve``
+in the in-process shard, whose lock serializes the threads of
+concurrent connections.  Reads are micro-batched: lines
 already buffered on a connection — plus anything arriving within a
 short linger — are routed as one chunk, so a client that streams fast
 gets the columnar batch path for free while a drip-feeding client still
@@ -35,12 +37,14 @@ import sys
 
 from ..errors import InvalidParameterError
 
-__all__ = ["JsonlFrontend", "parse_listen"]
+__all__ = ["CHUNK_LINES", "JsonlFrontend", "parse_listen"]
 
 #: Seconds to wait for more buffered lines before routing a chunk.
 _LINGER_S = 0.005
-#: Max lines routed as one chunk (bounds per-request latency and memory).
-_MICRO_BATCH = 256
+#: Max lines routed as one chunk, by a connection's micro-batching and
+#: by ``serve``'s file/stdin pump alike (bounds per-request latency and
+#: memory; decisions are identical for any chunking).
+CHUNK_LINES = 1024
 #: Bound on one JSONL line / HTTP request line.
 _LINE_LIMIT = 1 << 20
 #: Seconds an HTTP client has to finish sending its request headers.  A
@@ -103,9 +107,8 @@ class JsonlFrontend:
     too (the tests use both).
     """
 
-    def __init__(self, service, *, batch: int = _MICRO_BATCH) -> None:
+    def __init__(self, service) -> None:
         self.service = service
-        self.batch = max(1, int(batch))
         self.connections = 0
         self.requests = 0
         #: Connections force-closed because their drain stalled past
@@ -147,7 +150,7 @@ class JsonlFrontend:
         if not first:
             return []
         lines = [first]
-        while len(lines) < self.batch:
+        while len(lines) < CHUNK_LINES:
             try:
                 line = await asyncio.wait_for(reader.readline(), timeout=_LINGER_S)
             except asyncio.TimeoutError:
@@ -312,7 +315,7 @@ class JsonlFrontend:
             if not line.strip():
                 continue
             pending.append(line)
-            if len(pending) >= self.batch:
+            if len(pending) >= CHUNK_LINES:
                 await flush()
             if self._stop is not None and self._stop.is_set():
                 break

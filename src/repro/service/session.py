@@ -274,6 +274,10 @@ class AdvisorSession:
         # snapshot, against which delta snapshots slice their appends.
         self._delta_base: dict | None = None
         self._transitions_seen = 0
+        #: True while memory holds state the durable snapshot lacks;
+        #: cleared by a successful compaction (volatile, like the
+        #: delta bookkeeping), so ``close()`` skips clean sessions.
+        self.dirty = True
         self.applied = 0
         self.total_cost = 0.0
         self.health = HealthState.HEALTHY
@@ -328,6 +332,7 @@ class AdvisorSession:
         :meth:`_submit_suspended`.
         """
         event_id = str(event_id)
+        self.dirty = True
         if self.durability_suspended:
             self._probe_maybe()
             if self.durability_suspended:
@@ -346,39 +351,31 @@ class AdvisorSession:
             check = (
                 "negative-duration" if math.isfinite(stop_length) else "non-finite-duration"
             )
-            kept = self._enforcer.flag(
-                check,
-                f"vehicle {self.vehicle_id}: event {event_id} stop length {stop_length!r}",
-                record=[event_id, self.vehicle_id, repr(timestamp), repr(stop_length)],
+            self._refuse(
+                check, f"stop length {stop_length!r}", event_id, timestamp, stop_length
             )
-            if not kept:
-                self.rejected += 1
-                self.note_invalid_event(check)
-                return None
+            return None
         timestamp = float(timestamp)
         if not math.isfinite(timestamp):
             # Same defense for the clock: NaN would pass every later
             # staleness check and cannot be framed into the WAL.
-            kept = self._enforcer.flag(
+            self._refuse(
                 "non-finite-start-time",
-                f"vehicle {self.vehicle_id}: event {event_id} timestamp {timestamp!r}",
-                record=[event_id, self.vehicle_id, repr(timestamp), repr(stop_length)],
+                f"timestamp {timestamp!r}",
+                event_id,
+                timestamp,
+                stop_length,
             )
-            if not kept:
-                self.rejected += 1
-                self.note_invalid_event("non-finite-start-time")
-                return None
+            return None
         if self.last_timestamp is not None and timestamp < self.last_timestamp:
-            kept = self._enforcer.flag(
+            self._refuse(
                 "non-monotonic-timestamp",
-                f"vehicle {self.vehicle_id}: event {event_id} at t={timestamp!r} "
-                f"behind clock {self.last_timestamp!r}",
-                record=[event_id, self.vehicle_id, repr(timestamp), repr(stop_length)],
+                f"at t={timestamp!r} behind clock {self.last_timestamp!r}",
+                event_id,
+                timestamp,
+                stop_length,
             )
-            if not kept:
-                self.rejected += 1
-                self.note_invalid_event("non-monotonic-timestamp")
-                return None
+            return None
         record = {
             "seq": self.applied + 1,
             "id": event_id,
@@ -400,6 +397,21 @@ class AdvisorSession:
             self.compact()
         return decision
 
+    def _refuse(self, check: str, detail: str, event_id, timestamp, stop_length) -> None:
+        """Flag, count and feed to the health machine one refused event.
+
+        At error severity the enforcer never keeps a record: it drops
+        or quarantines it, or raises under ``strict`` (before anything
+        is counted).
+        """
+        self._enforcer.flag(
+            check,
+            f"vehicle {self.vehicle_id}: event {event_id} {detail}",
+            record=[event_id, self.vehicle_id, repr(timestamp), repr(stop_length)],
+        )
+        self.rejected += 1
+        self.note_invalid_event(check)
+
     def note_invalid_event(self, check: str) -> None:
         """Feed one event-validation failure into the health machine.
 
@@ -408,6 +420,7 @@ class AdvisorSession:
         event in between means the feed itself is broken and the
         estimate can no longer be trusted — treated like a drift alarm.
         """
+        self.dirty = True
         self.bad_streak += 1
         if self.bad_streak >= self.config.bad_event_streak:
             self.bad_streak = 0
@@ -633,6 +646,7 @@ class AdvisorSession:
         results: list = [None] * len(ids)
         if not ids:
             return results
+        self.dirty = True
         if self.durability_suspended:
             self._probe_maybe()
         # Timestamps must also be finite for the run path: the WAL's
@@ -1179,6 +1193,8 @@ class AdvisorSession:
         # the torn bytes can never merge with a later append.
         if replayed or snapshot is None or self._wal.tail_torn:
             self.compact()
+        else:
+            self.dirty = False  # memory is exactly the snapshot
 
     def compact(self, *, delta: bool = False) -> None:
         """Publish a snapshot, then atomically reset the WAL.
@@ -1203,17 +1219,17 @@ class AdvisorSession:
         if self.durability_suspended:
             return  # pointless while the disk is sick; resume re-compacts
         try:
-            if delta and self._try_delta_compact():
-                self._wal.reset()
-                return
-            self._snapshots.save(self.applied, self.to_state())
-            self._delta_base = {
-                "applied": self.applied,
-                "transitions": self._transitions_seen,
-            }
+            if not (delta and self._try_delta_compact()):
+                self._snapshots.save(self.applied, self.to_state())
+                self._delta_base = {
+                    "applied": self.applied,
+                    "transitions": self._transitions_seen,
+                }
             self._wal.reset()
         except OSError as exc:
             self._suspend(exc, "compact")
+        else:
+            self.dirty = False
 
     def _try_delta_compact(self) -> bool:
         """Publish a delta snapshot if profitable; False to go full.

@@ -67,12 +67,7 @@ from pathlib import Path
 
 from ..engine.ledger import RunLedger, active_ledger, use_ledger
 from ..errors import InvalidParameterError, ReproError
-from .advisor import (
-    REGISTRY_NAME,
-    AdvisorService,
-    RegisteredAdvisorService,
-    gate_on_replication,
-)
+from .advisor import AdvisorService, RegisteredAdvisorService, gate_on_replication
 from .batch import identifiable_vehicle
 
 __all__ = [
@@ -88,13 +83,6 @@ __all__ = [
 ]
 
 SHARD_LOCK_NAME = "shard.lock"
-# Per-shard vehicle registry; the implementation (and the canonical
-# REGISTRY_NAME constant) moved to advisor.py when standby promotion
-# started needing the same warm-recovery machinery.
-_REGISTRY_NAME = REGISTRY_NAME
-#: Rate limit for shard-tier backpressure ledger warnings: the first
-#: shed on a shard, then every this-many events.
-_SHED_WARN_EVERY = 1000
 #: Crash-loop backoff: the first crash respawns immediately (the common
 #: SIGKILL/OOM case must not add latency), the second waits this long,
 #: doubling per consecutive crash up to the cap — a tight crash loop
@@ -105,8 +93,7 @@ _BACKOFF_CAP_S = 5.0
 #: — the shard-tier mirror of the validation layer's quarantine files).
 POISON_SIDECAR_NAME = "poison.quarantine.jsonl"
 #: Sentinel returned by ``_dispatch`` when the target shard's circuit
-#: breaker is open — distinct from ``None`` (= queue-full shed) so
-#: callers can count breaker sheds separately from backpressure sheds.
+#: breaker is open, so callers can count the shed sub-chunk.
 _BREAKER = object()
 
 
@@ -270,11 +257,6 @@ def sweep_stale_shard_locks(root: str | Path) -> list[str]:
 # -- worker process --------------------------------------------------------
 
 
-# Kept under its historical private name for the worker below; the
-# class itself now lives in advisor.py (promotion reuses it).
-_RegisteredAdvisorService = RegisteredAdvisorService
-
-
 def _execute_command(
     shard: int, service: AdvisorService, command, conn, injector=None
 ) -> None:
@@ -388,7 +370,7 @@ def _shard_worker(
     service = None
     error = None
     try:
-        service = _RegisteredAdvisorService(
+        service = RegisteredAdvisorService(
             Path(state_dir),
             config,
             policy=policy,
@@ -428,7 +410,10 @@ class ShardedAdvisorService:
     Parameters
     ----------
     state_dir:
-        Root directory; shard ``i`` owns ``state_dir/shard-NN``.
+        Root directory.  A one-shard tier keeps its state in
+        ``state_dir`` itself (``vehicles/`` directly under it — the
+        plain ``serve`` layout); with N >= 2 shards, shard ``i`` owns
+        ``state_dir/shard-NN``.
     config:
         Shared :class:`~repro.service.session.SessionConfig`.
     shards:
@@ -437,12 +422,12 @@ class ShardedAdvisorService:
         ``True`` (default) spawns one process per shard.  ``False``
         runs the same routing over in-process ``AdvisorService``
         instances — no parallelism, but byte-for-byte the same
-        partition; the equivalence property tests this mode.
+        partition.  Plain ``serve`` runs this mode with one shard; its
+        entry points share one lock, because the front end calls them
+        from worker threads, one per open connection.
     queue_depth:
-        Bound on each shard's pending-command queue.  ``submit_lines``
-        blocks on a full queue (lossless backpressure);
-        ``offer_lines`` sheds and counts instead, with a rate-limited
-        ``advisor-backpressure`` ledger warning.
+        Bound on each shard's pending-command queue; a full queue
+        blocks the caller (lossless backpressure).
     ledger_path:
         Optional base path: worker ``i`` appends its advisor-state
         events to ``<ledger_path>.shard-NN`` (one writer per file —
@@ -514,6 +499,14 @@ class ShardedAdvisorService:
                 f"poison_budget must be >= 1, got {poison_budget}"
             )
         self.state_dir = Path(state_dir)
+        legacy = self.state_dir / "shard-00"
+        if shards == 1 and legacy.is_dir():
+            raise InvalidParameterError(
+                f"{legacy} exists, but a one-shard tier keeps its state in "
+                f"{self.state_dir} itself: serve this dir with the shard "
+                "count that wrote it or, if that was one shard, move the "
+                "contents of shard-00 up one level"
+            )
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.policy = policy
@@ -525,11 +518,7 @@ class ShardedAdvisorService:
         self.worker_mode = bool(workers)
         self._ledger_path = None if ledger_path is None else str(ledger_path)
         self._ledger = active_ledger()
-        # Events shed by offer_lines (tier backpressure), counted per
-        # shard; the aggregate is always their sum (see the ``shed``
-        # property), so health snapshots can never drift from the
-        # per-shard ledger warnings.
-        self.shed_by_shard = [0] * self.shards
+        self._lock = threading.Lock()
         self.dispatched_events = 0
         self.restarts = [0] * self.shards
         # -- self-healing supervision (see class docstring) --
@@ -565,7 +554,6 @@ class ShardedAdvisorService:
             self._closed = False
             return
         self._context = multiprocessing.get_context("spawn")
-        self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._shard_locks = [threading.Lock() for _ in range(self.shards)]
         self._chunk_counter = 0
@@ -615,6 +603,8 @@ class ShardedAdvisorService:
     # -- topology ---------------------------------------------------------
 
     def _shard_dir(self, shard: int) -> Path:
+        if self.shards == 1:
+            return self.state_dir
         return self.state_dir / f"shard-{shard:02d}"
 
     def _worker_ledger_path(self, shard: int) -> str | None:
@@ -648,8 +638,11 @@ class ShardedAdvisorService:
         decode).  A line whose vehicle cannot be identified — garbage
         JSON, or no usable ``vehicle`` field — is routed by a hash of
         the raw line: deterministic, and behaviour-neutral because such
-        lines only touch malformed counters, never a session.
+        lines only touch malformed counters, never a session.  One
+        shard owns every line, so a one-shard tier skips the decode.
         """
+        if self.shards == 1:
+            return [(0, (list(range(len(lines))), lines))]
         try:
             records = json.loads("[" + ",".join(lines) + "]")
             if len(records) != len(lines):
@@ -693,43 +686,12 @@ class ShardedAdvisorService:
         lines = self._as_lines(lines)
         if not lines:
             return
+        if not self.worker_mode:
+            self._ingest_inline(lines)
+            return
         for shard, (_positions, sub_lines) in self._partition(lines):
-            if not self.worker_mode:
-                self._inline[shard].ingest_lines(sub_lines)
-            elif (
-                self._dispatch(shard, sub_lines, want_decisions=False, block=True)
-                is _BREAKER
-            ):
+            if self._dispatch(shard, sub_lines, want_decisions=False) is _BREAKER:
                 self._note_breaker_shed(shard, len(sub_lines))
-
-    def offer_lines(self, lines) -> int:
-        """Route one chunk, shedding sub-chunks on full queues.
-
-        The overload-protection path: per-shard queues are bounded, and
-        a full one sheds the whole sub-chunk and counts it (plus a
-        rate-limited ``advisor-backpressure`` ledger warning) — silent
-        loss is never allowed, unbounded memory never happens.  Returns
-        the number of accepted events.
-        """
-        lines = self._as_lines(lines)
-        if not lines:
-            return 0
-        accepted = 0
-        for shard, (_positions, sub_lines) in self._partition(lines):
-            if not self.worker_mode:
-                self._inline[shard].ingest_lines(sub_lines)
-                accepted += len(sub_lines)
-                continue
-            result = self._dispatch(
-                shard, sub_lines, want_decisions=False, block=False
-            )
-            if result is _BREAKER:
-                self._note_breaker_shed(shard, len(sub_lines))
-            elif result is None:
-                self._note_shed(shard, len(sub_lines))
-            else:
-                accepted += len(sub_lines)
-        return accepted
 
     def request_lines(self, lines, timeout: float | None = None) -> list:
         """Route one chunk and wait for its decisions, aligned with input.
@@ -738,21 +700,14 @@ class ShardedAdvisorService:
         for malformed/dropped records) per input line, in input order.
         """
         lines = self._as_lines(lines)
-        results: list = [None] * len(lines)
         if not lines:
-            return results
-        partition = self._partition(lines)
+            return []
         if not self.worker_mode:
-            for shard, (positions, sub_lines) in partition:
-                decisions = self._inline[shard].ingest_lines(sub_lines)
-                for position, decision in zip(positions, decisions):
-                    results[position] = decision
-            return results
+            return self._ingest_inline(lines)
+        results: list = [None] * len(lines)
         waiting = []
-        for shard, (positions, sub_lines) in partition:
-            chunk_id = self._dispatch(
-                shard, sub_lines, want_decisions=True, block=True
-            )
+        for shard, (positions, sub_lines) in self._partition(lines):
+            chunk_id = self._dispatch(shard, sub_lines, want_decisions=True)
             if chunk_id is _BREAKER:
                 # Breaker-open shard: those positions stay None (the
                 # same contract as a malformed/dropped record) and the
@@ -775,6 +730,17 @@ class ShardedAdvisorService:
                     results[position] = decision
         return results
 
+    def _ingest_inline(self, lines: list[str]) -> list:
+        """Inline mode: apply one chunk shard by shard, under the lock."""
+        results: list = [None] * len(lines)
+        with self._lock:
+            for shard, (positions, sub_lines) in self._partition(lines):
+                self.dispatched_events += len(sub_lines)
+                decisions = self._inline[shard].ingest_lines(sub_lines)
+                for position, decision in zip(positions, decisions):
+                    results[position] = decision
+        return results
+
     def drain(self, timeout: float | None = None) -> None:
         """Block until every dispatched chunk has been acknowledged."""
         if not self.worker_mode:
@@ -792,7 +758,7 @@ class ShardedAdvisorService:
                     raise TimeoutError(f"shards did not drain in time: {pending}")
                 self._wake.wait(0.2)
 
-    def _dispatch(self, shard, sub_lines, *, want_decisions, block):
+    def _dispatch(self, shard, sub_lines, *, want_decisions):
         submit_t = time.monotonic()
         with self._wake:
             self._raise_errors_locked()
@@ -810,10 +776,7 @@ class ShardedAdvisorService:
             # (so the swap redelivers it) or lands in the fresh queue.
             with self._shard_locks[shard]:
                 try:
-                    if block:
-                        self._commands[shard].put(command, timeout=0.2)
-                    else:
-                        self._commands[shard].put_nowait(command)
+                    self._commands[shard].put(command, timeout=0.2)
                 except queue_module.Full:
                     full = True
                 else:
@@ -834,17 +797,10 @@ class ShardedAdvisorService:
                         self.dispatched_events += len(sub_lines)
             if not full:
                 return chunk_id
-            if not block:
-                return None
             with self._lock:
                 self._raise_errors_locked()
                 if shard in self.breaker_open:
                     return _BREAKER
-
-    @property
-    def shed(self) -> int:
-        """Total events shed by the tier — the sum of per-shard sheds."""
-        return sum(self.shed_by_shard)
 
     @property
     def breaker_shed(self) -> int:
@@ -852,39 +808,9 @@ class ShardedAdvisorService:
         return sum(self.breaker_shed_by_shard)
 
     def _note_breaker_shed(self, shard: int, events: int) -> None:
-        """Count events shed into an open breaker (kept separate from
-        backpressure sheds — they have different operator responses:
-        provisioning vs investigating a crash loop)."""
+        """Count events shed into an open breaker."""
         with self._lock:
             self.breaker_shed_by_shard[shard] += events
-
-    def _note_shed(self, shard: int, events: int) -> None:
-        """Count a shed sub-chunk against its shard; warn rate-limited.
-
-        The cadence is the first shed on a shard, then every
-        ``_SHED_WARN_EVERY``th on that shard — stated as a boundary
-        *crossing* because tier sheds arrive
-        in multi-event sub-chunks: a chunk that jumps the counter from
-        999 to 1003 still fires the 1000-mark warning (an exact
-        ``% _SHED_WARN_EVERY == 0`` check would skip it, and counting
-        the aggregate would mis-attribute one shard's overload to
-        whichever shard happened to cross the shared boundary).
-        """
-        before = self.shed_by_shard[shard]
-        after = before + events
-        self.shed_by_shard[shard] = after
-        ledger = active_ledger() or self._ledger
-        if ledger is not None and (
-            before == 0 or after // _SHED_WARN_EVERY > before // _SHED_WARN_EVERY
-        ):
-            ledger.emit(
-                "advisor-backpressure",
-                tier="shard",
-                shard=shard,
-                shed=after,
-                shed_total=self.shed,
-                queue_depth=self.queue_depth,
-            )
 
     # -- control plane ----------------------------------------------------
 
@@ -964,13 +890,14 @@ class ShardedAdvisorService:
         if self.worker_mode:
             parts = self._control("digests", timeout=timeout)
         else:
-            parts = [
-                {
-                    vehicle_id: session.state_digest()
-                    for vehicle_id, session in sorted(service.sessions.items())
-                }
-                for service in self._inline
-            ]
+            with self._lock:
+                parts = [
+                    {
+                        vehicle_id: session.state_digest()
+                        for vehicle_id, session in sorted(service.sessions.items())
+                    }
+                    for service in self._inline
+                ]
         merged: dict[str, str] = {}
         for part in parts:
             merged.update(part)
@@ -997,10 +924,13 @@ class ShardedAdvisorService:
             snapshots = self._control("health", include_vehicles, timeout=timeout)
         else:
             snapshots = []
-            for service in self._inline:
-                snapshot = service.health_snapshot(include_vehicles=include_vehicles)
-                snapshot["vehicle_count"] = len(service.sessions)
-                snapshots.append(snapshot)
+            with self._lock:
+                for service in self._inline:
+                    snapshot = service.health_snapshot(
+                        include_vehicles=include_vehicles
+                    )
+                    snapshot["vehicle_count"] = len(service.sessions)
+                    snapshots.append(snapshot)
         live = [snapshot for snapshot in snapshots if snapshot is not None]
         vehicles: dict = {}
         for snapshot in live:
@@ -1038,7 +968,6 @@ class ShardedAdvisorService:
                     "vehicles": None,
                     "fleet_cost": None,
                     "states": None,
-                    "tier_shed": self.shed_by_shard[index],
                 }
             else:
                 row = {
@@ -1046,7 +975,6 @@ class ShardedAdvisorService:
                     "vehicles": snapshot["vehicle_count"],
                     "fleet_cost": snapshot["fleet_cost"],
                     "states": snapshot["states"],
-                    "tier_shed": self.shed_by_shard[index],
                 }
             if self.worker_mode:
                 process = self._procs[index]
@@ -1106,8 +1034,6 @@ class ShardedAdvisorService:
                 "replicas": self.ring.replicas,
                 "queue_depth": self.queue_depth,
                 "dispatched_events": self.dispatched_events,
-                "shed_events": self.shed,
-                "shed_by_shard": list(self.shed_by_shard),
                 "restarts": sum(self.restarts),
                 "hangs": sum(self.hangs),
                 "hang_timeout": self.hang_timeout,
@@ -1131,8 +1057,9 @@ class ShardedAdvisorService:
         """
         reasons: list[str] = []
         if not self.worker_mode:
-            for index, service in enumerate(self._inline):
-                verdict = service.readiness()
+            with self._lock:
+                verdicts = [service.readiness() for service in self._inline]
+            for index, verdict in enumerate(verdicts):
                 reasons.extend(
                     f"shard {index}: {reason}" for reason in verdict["reasons"]
                 )
@@ -1345,8 +1272,8 @@ class ShardedAdvisorService:
         :meth:`_note_death` (crash vs handoff vs reported failure);
         crashes then wait out their backoff deadline before
         :meth:`_respawn` — during the wait the shard's queue keeps
-        absorbing traffic up to ``queue_depth``, after which the normal
-        backpressure/shed semantics apply.
+        absorbing traffic up to ``queue_depth``, after which callers
+        block (backpressure).
         """
         for shard in range(self.shards):
             process = self._procs[shard]
@@ -1589,10 +1516,11 @@ class ShardedAdvisorService:
         crash-recovery worker flushed whatever state survived).
         """
         if not self.worker_mode:
-            if not self._closed:
-                self._closed = True
-                for service in self._inline:
-                    service.close()
+            with self._lock:
+                if not self._closed:
+                    self._closed = True
+                    for service in self._inline:
+                        service.close()
             return
         with self._lock:
             if self._shutdown:

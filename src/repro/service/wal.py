@@ -222,49 +222,14 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
                 self._sync_dir_once()
 
-    def replay(self) -> list[dict]:
-        """All intact records, in order.
+    def _frames(self):
+        """Yield ``(line, record)`` for every intact frame, in order.
 
         The final frame may be torn by a kill mid-append and is then
         dropped (and :attr:`tail_torn` set, so recovery compacts the
         torn bytes away); a bad frame *followed by intact ones* means
         the file was corrupted at rest and raises
         :class:`WalCorruptionError`.
-        """
-        self.tail_torn = False
-        if not self.path.exists():
-            return []
-        lines = self.path.read_text().splitlines()
-        records: list[dict] = []
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            record = _unframe(line)
-            if record is None:
-                if index == len(lines) - 1:
-                    self.tail_torn = True
-                    break
-                raise WalCorruptionError(
-                    f"{self.path}: bad frame at line {index + 1} "
-                    f"(not the final line — corruption, not a torn tail)"
-                )
-            records.append(record)
-        return records
-
-    def follow(self, from_seq: int = 0):
-        """Tail-follower for replication: yield ``(seq, line, record)``
-        for every intact frame whose ``seq`` is greater than ``from_seq``.
-
-        ``line`` is the raw CRC-framed text exactly as it sits in the
-        log, so a shipper can append it to a standby's WAL byte-for-byte
-        (re-framing would be byte-identical anyway — framing is
-        deterministic — but shipping the verified original is cheaper
-        and keeps the CRC end-to-end).  Torn-tail discipline is exactly
-        :meth:`replay`'s: a bad *final* frame is dropped silently (and
-        :attr:`tail_torn` set) because the primary may be mid-append
-        right now; a bad frame followed by intact ones raises
-        :class:`WalCorruptionError`.  Records without an integer ``seq``
-        are never shipped (none are written by the session today).
         """
         self.tail_torn = False
         if not self.path.exists():
@@ -282,6 +247,27 @@ class WriteAheadLog:
                     f"{self.path}: bad frame at line {index + 1} "
                     f"(not the final line — corruption, not a torn tail)"
                 )
+            yield line, record
+
+    def replay(self) -> list[dict]:
+        """All intact records, in order (torn-tail rules: :meth:`_frames`)."""
+        return [record for _line, record in self._frames()]
+
+    def follow(self, from_seq: int = 0):
+        """Tail-follower for replication: yield ``(seq, line, record)``
+        for every intact frame whose ``seq`` is greater than ``from_seq``.
+
+        ``line`` is the raw CRC-framed text exactly as it sits in the
+        log, so a shipper can append it to a standby's WAL byte-for-byte
+        (re-framing would be byte-identical anyway — framing is
+        deterministic — but shipping the verified original is cheaper
+        and keeps the CRC end-to-end).  Torn-tail discipline is
+        :meth:`replay`'s: a bad *final* frame is dropped silently
+        because the primary may be mid-append right now.  Records
+        without an integer ``seq`` are never shipped (none are written
+        by the session today).
+        """
+        for line, record in self._frames():
             seq = record.get("seq")
             if type(seq) is int and seq > from_seq:
                 yield seq, line, record

@@ -1,7 +1,7 @@
 """Equivalence harness: the columnar batch path vs the scalar event loop.
 
 The batched serving path (``AdvisorSession.submit_batch``,
-``AdvisorService.process_batch``/``ingest_lines``, ``serve --batch N``)
+``AdvisorService.process_batch``/``ingest_lines``, what ``serve`` runs)
 promises to be an *optimization only*: for any event stream and any
 batch-boundary split, the decisions returned, the session state digest
 (which pins the estimator, the drift detectors, the health ladder, the
@@ -22,7 +22,7 @@ Layers:
   any split (optionally tearing the WAL group-commit at any byte),
   recover, redeliver everything — digest equals the uninterrupted
   scalar reference;
-* deterministic pins: ``--batch 1`` equals the default loop, strict
+* deterministic pins: a batch of one equals the scalar loop, strict
   policy still raises, ledger transition parity, and a real-SIGKILL
   chaos cycle in batch mode (marked ``slow``).
 """

@@ -7,7 +7,10 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.constants import B_SSV
 from repro.engine import RunLedger
+from repro.service import AdvisorService, SessionConfig
+from repro.service.frontend import CHUNK_LINES
 from repro.service.soak import build_fleet_events
 
 
@@ -42,7 +45,7 @@ class TestServe:
             "--health", str(health),
         ]) == 0
         snapshot = json.loads(health.read_text())
-        assert set(snapshot) == {
+        assert set(snapshot) >= {
             "fleet_cost", "vehicles", "ingest", "states", "durability",
         }
         assert snapshot["durability"]["suspended_sessions"] == 0
@@ -100,52 +103,75 @@ class TestServe:
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_serve_digests_match_per_event_service(self, tmp_path, capsys):
+        # Plain serve runs the one-shard tier on the columnar path; its
+        # per-vehicle digests must equal feeding the same file one event
+        # at a time through AdvisorService (duplicates, a stale clock
+        # and undecodable lines included).
+        events = build_fleet_events(vehicles=3, stops_per_vehicle=40, seed=11)
+        lines = [json.dumps(event) for event in events]
+        stale = dict(events[30], id="stale-1", t=0.0)
+        lines[40:40] = [lines[5], json.dumps(stale), "{not json"]
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        health = tmp_path / "health.json"
+        assert main([
+            "serve", str(path),
+            "--state-dir", str(tmp_path / "state"),
+            "--health", str(health),
+        ]) == 0
+        snapshot = json.loads(health.read_text())
+
+        reference = AdvisorService(
+            tmp_path / "reference", SessionConfig(break_even=B_SSV)
+        )
+        for line in lines:
+            reference.ingest_line(line)
+        expected = reference.health_snapshot()
+        reference.close()
+
+        assert {
+            vehicle: info["digest"] for vehicle, info in snapshot["vehicles"].items()
+        } == {
+            vehicle: info["digest"] for vehicle, info in expected["vehicles"].items()
+        }
+        assert snapshot["fleet_cost"] == expected["fleet_cost"]
+        for counter in ("received", "duplicates", "rejected", "malformed"):
+            assert snapshot["ingest"][counter] == expected["ingest"][counter]
+        assert snapshot["ingest"]["duplicates"] == 1
+        assert snapshot["ingest"]["rejected"] == 1
+        assert snapshot["ingest"]["malformed"] == 1
+
+    def test_serve_keeps_vehicles_under_the_state_dir(
+        self, events_file, tmp_path, capsys
+    ):
+        plain = tmp_path / "plain"
+        assert main(["serve", str(events_file), "--state-dir", str(plain)]) == 0
+        assert len(list(plain.glob("vehicles/*/snapshot.json"))) == 2
+        assert not list(plain.glob("shard-*"))
+        sharded = tmp_path / "sharded"
+        assert main([
+            "serve", str(events_file), "--state-dir", str(sharded), "--shards", "2",
+        ]) == 0
+        assert sorted(path.name for path in sharded.glob("shard-*")) == [
+            "shard-00", "shard-01",
+        ]
+        assert not (sharded / "vehicles").exists()
+
 
 class TestServeBatch:
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_bad_batch_value_is_usage_error(self, value, events_file, tmp_path, capsys):
-        assert main([
-            "serve", str(events_file),
-            "--state-dir", str(tmp_path / "state"),
-            "--batch", value,
-        ]) == 2
-        assert f"--batch must be >= 1, got {value}" in capsys.readouterr().err
-
     def test_non_integer_batch_is_rejected_by_argparse(self, events_file, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main([
-                "serve", str(events_file),
-                "--state-dir", str(tmp_path / "state"),
-                "--batch", "many",
-            ])
-        assert excinfo.value.code == 2
-
-    def _summary(self, events_file, tmp_path, capsys, extra):
-        state_dir = tmp_path / "state" / ("batch-" + extra[-1] if extra else "scalar")
-        assert main([
-            "serve", str(events_file), "--state-dir", str(state_dir),
-        ] + extra) == 0
-        return capsys.readouterr().out
-
-    def test_batch_output_matches_scalar(self, events_file, tmp_path, capsys):
-        scalar = self._summary(events_file, tmp_path, capsys, [])
-        batched = self._summary(events_file, tmp_path, capsys, ["--batch", "7"])
-        pick = lambda text: [
-            line for line in text.splitlines()
-            if line.startswith(("fleet cost:", "ingestion:"))
-            or line.lstrip().startswith(("v-", "veh"))
-        ]
-        assert pick(batched) == pick(scalar)
-        assert "batched:" in batched
-        assert "batched:" not in scalar
-
-    def test_batch_of_one_prints_no_batch_line(self, events_file, tmp_path, capsys):
-        scalar = self._summary(events_file, tmp_path, capsys, [])
-        one = self._summary(events_file, tmp_path, capsys, ["--batch", "1"])
-        assert "batched:" not in one
-        assert [l for l in one.splitlines() if "fleet cost" in l] == [
-            l for l in scalar.splitlines() if "fleet cost" in l
-        ]
+        # --batch is gone: every chunk holds up to CHUNK_LINES lines and
+        # decisions are identical for any chunking, so argparse rejects
+        # the flag whatever its value.
+        for value in ("many", "8"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([
+                    "serve", str(events_file),
+                    "--state-dir", str(tmp_path / "state"),
+                    "--batch", value,
+                ])
+            assert excinfo.value.code == 2
 
     def test_health_snapshot_reports_batch_throughput(
         self, events_file, tmp_path, capsys
@@ -155,16 +181,14 @@ class TestServeBatch:
             "serve", str(events_file),
             "--state-dir", str(tmp_path / "state"),
             "--health", str(health),
-            "--batch", "10",
         ]) == 0
         batch = json.loads(health.read_text())["ingest"]["batch"]
-        # 24 events in chunks of 10 -> 3 chunks.
-        assert batch["chunks"] == 3
+        # 24 events fit in one CHUNK_LINES chunk.
+        assert CHUNK_LINES >= 24
+        assert batch["chunks"] == 1
         assert batch["events"] == 24
         assert batch["wall_s"] > 0.0
         assert batch["events_per_s"] > 0.0
-        out = capsys.readouterr().out
-        assert "batched:     3 chunk(s) of <= 10, 24 event(s)" in out
 
     def test_batch_mode_with_fsync_and_restart_dedups(
         self, events_file, tmp_path, capsys
@@ -173,7 +197,7 @@ class TestServeBatch:
         args = [
             "serve", str(events_file),
             "--state-dir", str(state_dir),
-            "--fsync", "--batch", "8",
+            "--fsync",
         ]
         assert main(args) == 0
         first = capsys.readouterr().out

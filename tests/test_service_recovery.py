@@ -23,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import AdvisorSession, SessionConfig, soak
+from repro.service.advisor import RegisteredAdvisorService
 from repro.service.soak import Cell, build_fleet_events, run_cell, run_stream
+from repro.service.wal import SnapshotStore
 
 B = 28.0
 N_EVENTS = 40
@@ -151,6 +153,62 @@ class TestSplitRecovery:
             seq, state = recovered._snapshots.load()
             assert seq == 7
             assert state == recovered.to_state()
+
+
+class TestCloseCompactsOnlyDirtySessions:
+    def test_close_publishes_snapshots_only_for_sessions_with_work(
+        self, tmp_path, monkeypatch
+    ):
+        # Default snapshot_every (64) is above any session's event count
+        # here, so every compaction counted below comes from close().
+        config = SessionConfig(break_even=B, seed=99)
+        events = build_fleet_events(vehicles=6, stops_per_vehicle=10, seed=3)
+        first = RegisteredAdvisorService(tmp_path, config)
+        first.ingest_lines([json.dumps(event) for event in events])
+        first.close()
+
+        published: list[str] = []
+        for name in ("save", "save_delta"):
+            real = getattr(SnapshotStore, name)
+
+            def counting(store, *args, _real=real, **kwargs):
+                published.append(store.path.parent.name)
+                return _real(store, *args, **kwargs)
+
+            monkeypatch.setattr(SnapshotStore, name, counting)
+
+        def digests(service):
+            return {
+                vehicle: session.state_digest()
+                for vehicle, session in sorted(service.sessions.items())
+            }
+
+        # A warm restart that receives nothing rewrites nothing.
+        warm = RegisteredAdvisorService(tmp_path, config)
+        assert len(warm.sessions) == 6
+        before = digests(warm)
+        warm.close()
+        assert published == []
+
+        # Events to k of n vehicles: close() compacts exactly those k.
+        warm = RegisteredAdvisorService(tmp_path, config)
+        assert digests(warm) == before
+        touched = sorted(warm.sessions)[:2]
+        warm.ingest_lines([
+            json.dumps({"id": f"{vehicle}-late", "vehicle": vehicle, "t": 1e6, "stop": 30.0})
+            for vehicle in touched
+        ])
+        after = digests(warm)
+        assert published == []
+        warm.close()
+        assert sorted(published) == sorted(
+            warm.sessions[vehicle]._snapshots.path.parent.name for vehicle in touched
+        )
+
+        # ...and a further restart recovers the same digests.
+        again = RegisteredAdvisorService(tmp_path, config)
+        assert digests(again) == after
+        again.close()
 
 
 class TestSigkillChaosPin:

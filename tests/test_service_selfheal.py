@@ -576,7 +576,7 @@ def test_crash_loop_opens_the_breaker_and_sheds_with_count(tmp_path):
         # Everything the shard held was shed with count...
         assert service.breaker_shed == len(events)
         # ...new traffic sheds instead of blocking forever...
-        assert service.offer_lines(lines[:1]) == 0
+        service.submit_lines(lines[:1])
         assert service.breaker_shed == len(events) + 1
         # ...and readiness names the breaker.
         verdict = service.readiness(timeout=30.0)

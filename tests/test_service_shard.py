@@ -1,5 +1,5 @@
 """The sharded serving tier: pure-partition equivalence, routing, locks,
-worker chaos, backpressure warnings and the JSONL front end.
+worker chaos, the one-shard layout and the JSONL front end.
 
 The load-bearing property (the sharding contract): for ANY event
 stream, ANY shard count and ANY chunking, the decisions and per-vehicle
@@ -14,15 +14,21 @@ processes by the smoke/chaos tests (SIGKILL + restart marked ``slow``).
 import asyncio
 import json
 import os
+import re
 import signal
 import socket
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.ledger import RunLedger, use_ledger
+import repro
+from repro.errors import InvalidParameterError
 from repro.service import AdvisorService, SessionConfig
 from repro.service.frontend import JsonlFrontend, parse_listen
 from repro.service.shard import (
@@ -276,71 +282,69 @@ def test_cache_doctor_sweeps_shard_locks(tmp_path, capsys):
     assert not (stale / SHARD_LOCK_NAME).exists()
 
 
-# -- backpressure warnings (satellite: rate-limited ledger event) ---------
+# -- the one-shard layout -------------------------------------------------
 
 
-def test_sharded_offer_lines_sheds_and_warns(tmp_path):
-    ledger = RunLedger()
-    with use_ledger(ledger):
-        service = ShardedAdvisorService(
-            tmp_path / "fleet", CONFIG, shards=2, workers=True, queue_depth=1
-        )
-        try:
-            # Saturate: a 1-deep queue with slow consumers must shed
-            # some of a burst of single-line offers.
-            lines = [
-                json.dumps(
-                    {"id": f"e-{i:04d}", "vehicle": f"v-{i % 7}", "t": float(i), "stop": 5.0}
-                )
-                for i in range(400)
-            ]
-            for line in lines:
-                service.offer_lines([line])
-            deadline = time.monotonic() + 60.0
-            while service.shed == 0 and time.monotonic() < deadline:
-                for line in lines:
-                    service.offer_lines([line])
-            service.drain(timeout=120.0)
-        finally:
-            service.close()
-    assert service.shed > 0
-    warnings = [r for r in ledger.events if r["event"] == "advisor-backpressure"]
-    assert warnings and warnings[0]["tier"] == "shard"
-    # Every warning reports the triggering shard's own count, and the
-    # aggregate can never drift from the per-shard decomposition.
-    assert all(w["shed"] <= w["shed_total"] for w in warnings)
-    assert service.shed == sum(service.shed_by_shard)
-
-
-def test_tier_shed_counts_per_shard_with_offer_warn_cadence(tmp_path):
-    ledger = RunLedger()
-    service = ShardedAdvisorService(
-        tmp_path / "fleet", CONFIG, shards=3, workers=False
+def test_one_shard_tier_owns_the_state_dir_and_refuses_shard_00(tmp_path):
+    service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=1, workers=False)
+    service.submit_lines(
+        [json.dumps({"id": "e-1", "vehicle": "v1", "t": 0.0, "stop": 42.0})]
     )
-    with use_ledger(ledger):
-        service._note_shed(0, 1)    # first shed on shard 0 -> warn
-        service._note_shed(0, 998)  # 999 total: quiet
-        service._note_shed(0, 4)    # 999 -> 1003 crosses the 1000 mark -> warn
-        service._note_shed(1, 2)    # first shed on shard 1 -> warn
-        service._note_shed(1, 500)  # 502 total: quiet
-    warnings = [r for r in ledger.events if r["event"] == "advisor-backpressure"]
-    # Cadence per shard: the first shed, then every 1000th, stated as
-    # a boundary crossing so the multi-event jump over 1000 still
-    # warns; shard 1's first shed warns even though the *aggregate* was
-    # already past 1000.
-    assert [(w["shard"], w["shed"], w["shed_total"]) for w in warnings] == [
-        (0, 1, 1),
-        (0, 1003, 1003),
-        (1, 2, 1005),
-    ]
-    assert all(w["tier"] == "shard" for w in warnings)
-    assert service.shed_by_shard == [1003, 502, 0]
-    assert service.shed == 1505
-    snapshot = service.health_snapshot()
-    assert snapshot["routing"]["shed_events"] == 1505
-    assert snapshot["routing"]["shed_by_shard"] == [1003, 502, 0]
-    assert sum(row["tier_shed"] for row in snapshot["shards"]) == 1505
     service.close()
+    assert len(list((tmp_path / "fleet").glob("vehicles/*/snapshot.json"))) == 1
+    assert not list((tmp_path / "fleet").glob("shard-*"))
+
+    legacy = tmp_path / "old" / "shard-00"
+    legacy.mkdir(parents=True)
+    for workers in (False, True):
+        with pytest.raises(InvalidParameterError, match=re.escape(str(legacy))):
+            ShardedAdvisorService(tmp_path / "old", CONFIG, shards=1, workers=workers)
+
+
+def test_inline_tier_serializes_concurrent_requests(tmp_path):
+    """Front-end threads share the in-process shard.  Four connections
+    feed the same vehicles at once (one clock, so any serial order
+    admits every event); with more threads than cores and a tiny switch
+    interval, no event or counter may be lost and the durable state must
+    recover to the live digests."""
+    vehicles = [f"veh-{index}" for index in range(4)]
+    streams = [
+        [
+            json.dumps({"id": f"c{client}-{vehicle}-{n:03d}", "vehicle": vehicle,
+                        "t": 0.0, "stop": float((n * 37 + client * 11) % 90)})
+            for n in range(30)
+            for vehicle in vehicles
+        ]
+        for client in range(4)
+    ]
+    service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=1, workers=False)
+
+    def client(lines):
+        for start in range(0, len(lines), 3):
+            service.request_lines(lines[start : start + 3])
+            service.health_snapshot()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(client, lines) for lines in streams]:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    snapshot = service.health_snapshot(include_vehicles=True)
+    digests = service.digests()
+    service.close()
+    total = sum(len(lines) for lines in streams)
+    assert snapshot["ingest"]["received"] == total
+    assert snapshot["ingest"]["batch"]["chunks"] == total // 3
+    assert snapshot["routing"]["dispatched_events"] == total
+    assert [info["applied"] for info in snapshot["vehicles"].values()] == [120] * 4
+    recovered = AdvisorService(tmp_path / "fleet", CONFIG)
+    assert {
+        vehicle: recovered.session(vehicle).state_digest() for vehicle in vehicles
+    } == digests
+    recovered.close()
 
 
 # -- process-mode fleet: smoke, registry recovery, chaos ------------------
@@ -559,14 +563,17 @@ def test_frontend_http_hardening(tmp_path, monkeypatch):
     assert payload["frontend"]["slow_client_disconnects"] == 0
 
 
-def test_frontend_stdin_pump(tmp_path):
+def test_frontend_stdin_pump(tmp_path, monkeypatch):
+    from repro.service import frontend as frontend_mod
+
+    monkeypatch.setattr(frontend_mod, "CHUNK_LINES", 4)
     events = build_fleet_events(vehicles=2, stops_per_vehicle=5, seed=41)
     lines = [json.dumps(event) for event in events]
     _, digests_single, _cost = _single_reference(tmp_path, lines)
     service = ShardedAdvisorService(
         tmp_path / "fleet", CONFIG, shards=2, workers=False
     )
-    frontend = JsonlFrontend(service, batch=4)
+    frontend = JsonlFrontend(service)
     routed = asyncio.run(frontend.pump_stdin(iter(line + "\n" for line in lines)))
     digests = service.digests()
     service.close()
@@ -614,5 +621,96 @@ def test_serve_cli_sharded_usage_errors(tmp_path, capsys):
     events_path.write_text("")
     base = ["serve", str(events_path), "--state-dir", str(tmp_path / "state")]
     assert main(base + ["--shards", "0"]) == 2
-    assert main(base + ["--listen", ":0"]) == 2
     capsys.readouterr()
+
+
+def _http_get(sock_path: str, path: str) -> tuple[bytes, dict]:
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.connect(sock_path)
+        sock.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode())
+        payload = b""
+        while chunk := sock.recv(65536):
+            payload += chunk
+    head, _, body = payload.partition(b"\r\n\r\n")
+    return head, json.loads(body)
+
+
+def _stream_lines(sock_path: str, lines: list[str]) -> list:
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.connect(sock_path)
+        handle = sock.makefile("rw")
+        for line in lines:
+            handle.write(line + "\n")
+        handle.flush()
+        sock.shutdown(socket.SHUT_WR)
+        return [json.loads(reply) for reply in handle]
+
+
+def test_serve_cli_listens_without_shards(tmp_path):
+    """``serve - --listen unix:PATH`` with no ``--shards``: the
+    in-process shard answers JSONL with AdvisorService's decisions and
+    serves /health and /ready; two concurrent connections on disjoint
+    vehicles end on the single-process digests."""
+    events = build_fleet_events(vehicles=4, stops_per_vehicle=30, seed=19)
+    lines = [json.dumps(event) for event in events]
+    reference = AdvisorService(tmp_path / "reference", SessionConfig(break_even=B))
+    expected = {
+        event["id"]: decision
+        for event, decision in zip(events, reference.ingest_lines(lines))
+    }
+    digests = {
+        vehicle: session.state_digest()
+        for vehicle, session in sorted(reference.sessions.items())
+    }
+    reference.close()
+    vehicles = sorted({event["vehicle"] for event in events})
+    groups = [
+        [line for line, event in zip(lines, events) if event["vehicle"] in part]
+        for part in (vehicles[:2], vehicles[2:])
+    ]
+
+    sock_path = str(tmp_path / "advisor.sock")
+    health_path = tmp_path / "health.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve", "-",
+            "--state-dir", str(tmp_path / "state"),
+            "--break-even", str(B),
+            "--listen", f"unix:{sock_path}",
+            "--health", str(health_path),
+        ],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while True:
+            try:
+                ready_head, ready = _http_get(sock_path, "/ready")
+                break
+            except OSError:
+                assert server.poll() is None, "serve exited before listening"
+                assert time.monotonic() < deadline, "serve never listened"
+                time.sleep(0.05)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            replies = list(pool.map(lambda group: _stream_lines(sock_path, group), groups))
+        health_head, health = _http_get(sock_path, "/health")
+    finally:
+        server.terminate()
+        out, _ = server.communicate(timeout=60)
+    assert server.returncode == 0, out.decode(errors="replace")
+
+    assert ready_head.startswith(b"HTTP/1.0 200") and ready["ready"] is True
+    for group, answers in zip(groups, replies):
+        assert answers == [expected[json.loads(line)["id"]] for line in group]
+    assert health_head.startswith(b"HTTP/1.0 200")
+    assert health["routing"]["shards"] == 1
+    assert health["ingest"]["received"] == len(lines)
+    final = json.loads(health_path.read_text())
+    assert {
+        vehicle: info["digest"] for vehicle, info in final["vehicles"].items()
+    } == digests
+    assert (tmp_path / "state" / "vehicles").is_dir()
