@@ -1,8 +1,8 @@
 """Benchmark: WAL shipping, promotion and backup/restore throughput.
 
-Three ops over the same populated primary (a registered fleet state
-dir whose WAL still holds its tail — a crash-consistent primary, the
-shape a standby actually ships from):
+Three ops over the same populated primary (a fleet state dir whose WAL
+still holds its tail — a crash-consistent primary, the shape a standby
+actually ships from):
 
 * ``ship_full`` — one cold catch-up pass (``sync_once`` into an empty
   local standby): frames/s and shipped MB/s;
@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.service import SessionConfig
-from repro.service.advisor import RegisteredAdvisorService
+from repro.service.advisor import AdvisorService
 from repro.service.replica import (
     LocalReplicaTarget,
     backup,
@@ -46,8 +46,9 @@ QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 BREAK_EVEN = 28.0  # the paper's vehicle class 1
 VEHICLES = 4 if QUICK else 8
 STOPS = 150 if QUICK else 1_000
-#: Compaction cadence: large enough that the WAL carries a real tail
-#: to ship, small enough that snapshots + deltas are in play too.
+#: Compaction cadence (frames per vehicle in the root's WAL): large
+#: enough that the WAL carries a real tail to ship, small enough that
+#: snapshots are in play too.
 SNAPSHOT_EVERY = 64
 _RECORDS: list[dict] = []
 
@@ -68,9 +69,9 @@ def _config() -> SessionConfig:
 
 
 def _populate(state_dir, events) -> dict:
-    """Serve the stream as a registered primary; abandon without close
-    (a clean close compacts the WAL away — nothing left to ship)."""
-    service = RegisteredAdvisorService(state_dir, _config(), policy="repair")
+    """Serve the stream as a primary; abandon without close (a clean
+    close compacts the WAL away — nothing left to ship)."""
+    service = AdvisorService(state_dir, _config(), policy="repair")
     for record in events:
         service.process(record)
     snapshot = service.health_snapshot()

@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="with 'doctor': also sweep a service state directory for "
-        "orphaned .tmp files from dead writers and delta sidecars whose "
-        "base snapshot is gone",
+        "orphaned .tmp files from dead writers and delta logs that extend "
+        "no base snapshot",
     )
 
     advise = sub.add_parser(
@@ -326,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         type=Path,
         required=True,
-        help="durable state root (WAL + snapshots per vehicle); restarting "
-        "with the same directory recovers bit-identically",
+        help="durable state root (one WAL + snapshot for every vehicle, one "
+        "per shard with --shards); restarting with the same directory "
+        "recovers bit-identically",
     )
     serve.add_argument(
         "--policy",
@@ -1338,8 +1339,7 @@ def _replicate(args) -> int:
         target.close()
     print(f"shipped to {where}: {totals['passes']} pass(es), "
           f"{totals['frames']} frame(s), {totals['snapshots']} snapshot(s), "
-          f"{totals['deltas']} delta(s), {totals['registries']} registry "
-          f"update(s), {totals['channel_errors']} channel error(s)")
+          f"{totals['deltas']} delta(s), {totals['channel_errors']} channel error(s)")
     return 0
 
 
@@ -1388,9 +1388,9 @@ def _backup(args) -> int:
     manifest = backup(args.state_dir, args.archive_dir)
     print(f"backed up {len(manifest['files'])} file(s), "
           f"{len(manifest['vehicles'])} session(s) to {args.archive_dir}")
-    for key in sorted(manifest["vehicles"]):
-        info = manifest["vehicles"][key]
-        print(f"  {key}  tip={info['tip']}  {info['digest'][:16]}")
+    for vehicle in sorted(manifest["vehicles"]):
+        info = manifest["vehicles"][vehicle]
+        print(f"  {vehicle}  tip={info['tip']}  {info['digest'][:16]}")
     return 0
 
 

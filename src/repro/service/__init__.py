@@ -4,9 +4,10 @@ The deployed face of the paper's algorithms: per-vehicle
 :class:`~repro.service.session.AdvisorSession` objects wrap
 :class:`~repro.core.adaptive.AdaptiveProposed` with
 
-* **durability** — a CRC-framed write-ahead log plus atomic compacted
-  snapshots (:mod:`repro.service.wal`): a SIGKILL at any instant
-  restores every session bit-identically;
+* **durability** — one CRC-framed write-ahead log plus compacted
+  snapshots per service root, shared by its vehicles
+  (:mod:`repro.service.wal`): a SIGKILL at any instant restores every
+  session bit-identically;
 * **drift detection** — Page-Hinkley/CUSUM over stop lengths and over
   the short/long split (:mod:`repro.service.drift`);
 * **graceful degradation** — a HEALTHY → DEGRADED → SAFE ladder with
@@ -36,7 +37,7 @@ guarantees, and the degradation ladder's competitive-ratio bounds.
 # NOTE: repro.service.soak is deliberately not imported here — it is
 # runnable as ``python -m repro.service.soak`` and importing it from the
 # package __init__ would shadow that execution (runpy warns).
-from .advisor import AdvisorService, RegisteredAdvisorService, parse_event_line
+from .advisor import AdvisorService, parse_event_line
 from .augmented import (
     AugmentedAdvisorSession,
     AugmentedSessionConfig,
@@ -83,7 +84,6 @@ __all__ = [
     "JsonlFrontend",
     "LocalReplicaTarget",
     "PageHinkley",
-    "RegisteredAdvisorService",
     "RemoteReplicaTarget",
     "ReplicaServer",
     "ReplicationError",

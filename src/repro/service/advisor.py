@@ -1,9 +1,9 @@
 """The multi-vehicle advisor service: routing, validation, health.
 
 :class:`AdvisorService` owns one :class:`~repro.service.session.AdvisorSession`
-per vehicle, each with its own sub-directory of the service state
-directory (WAL + snapshot), and a shared validation report/quarantine
-sidecar:
+per vehicle, all sharing the state directory's one WAL and snapshot
+store (:class:`~repro.service.session.SessionRoot`), and a shared
+validation report/quarantine sidecar:
 
 * ``process(record)`` validates and routes one raw event (the
   per-event scalar path);
@@ -23,48 +23,21 @@ when the vehicle is identifiable.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import re
 import time
 from pathlib import Path
 
 from ..validation import CsvQuarantineWriter, PolicyEnforcer, ValidationReport
 from ..validation.schemas import stop_event_findings
 from .batch import MalformedEvent, identifiable_vehicle, plan_chunk
-from .session import AdvisorSession, SessionConfig
+from .session import AdvisorSession, SessionConfig, SessionRoot
 
 __all__ = [
-    "REGISTRY_NAME",
     "AdvisorService",
     "RegisteredAdvisorService",
     "gate_on_replication",
     "parse_event_line",
 ]
-
-#: JSONL registry of every vehicle id a service root has ever held —
-#: hashed session directory names cannot be inverted, so warm recovery
-#: (shard respawn, standby promotion) replays this file to rebuild each
-#: session under its correct RNG seed.
-REGISTRY_NAME = "vehicles.idx"
-
-_UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
-
-
-def _vehicle_dirname(vehicle_id: str) -> str:
-    """A filesystem-safe, collision-free directory name per vehicle.
-
-    The name always ends in a hash of the exact id, so distinct ids can
-    never share a directory — not even ids differing only in case on a
-    case-insensitive filesystem (macOS/Windows), and not an id that
-    happens to look like another id's hashed name.  A sanitized prefix
-    of the id is kept for operator readability.
-    """
-    digest = hashlib.sha256(vehicle_id.encode()).hexdigest()[:16]
-    prefix = _UNSAFE_CHARS.sub("_", vehicle_id)[:48].lstrip(".")
-    return f"{prefix}-{digest}" if prefix else f"veh-{digest}"
-
 
 def gate_on_replication(replication, reasons: list) -> dict:
     """Fold replication lag into a readiness verdict.
@@ -112,7 +85,11 @@ class AdvisorService:
     Parameters
     ----------
     state_dir:
-        Root of the durable state; one sub-directory per vehicle.
+        The service root: one WAL and one snapshot store for every
+        vehicle.  Construction recovers every session the root holds
+        (one read of the snapshot, one pass over the WAL), so a
+        respawned shard or a promoted standby answers for its whole
+        fleet before any traffic arrives.
     config:
         Shared :class:`SessionConfig` for every session.
     policy:
@@ -120,18 +97,16 @@ class AdvisorService:
         deployed service must not die on one bad record; pass
         ``strict`` to make it do exactly that in tests).
     fsync:
-        Forwarded to every session's WAL/snapshot writes.
-    recover:
-        Restore per-vehicle durable state found under ``state_dir``.
+        Fsync the root's WAL and snapshot writes.
     fs:
-        Optional fault-injection shim shared by every session's WAL and
-        snapshot store (:class:`repro.engine.faults.FsFaultInjector`);
-        the ordinal schedule then covers the whole service's disk
-        traffic, which is how the disk-fault soak is driven.
+        Optional fault-injection shim on the root's WAL and snapshot
+        store (:class:`repro.engine.faults.FsFaultInjector`); the
+        ordinal schedule then covers the whole service's disk traffic,
+        which is how the disk-fault soak is driven.
     replication:
         Optional :class:`repro.service.replica.ReplicationMonitor`.
         When set, :meth:`health_snapshot` carries a ``replication``
-        section (per-session lag against the standby's watermarks) and
+        section (per-vehicle lag against the standby's watermarks) and
         :meth:`readiness` refuses traffic with a machine-readable
         reason while any session lags past the monitor's bound.
     """
@@ -144,49 +119,43 @@ class AdvisorService:
         policy: str = "repair",
         report: ValidationReport | None = None,
         fsync: bool = False,
-        recover: bool = True,
         source: str = "events",
         fs=None,
         replication=None,
     ) -> None:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
+        self._root = SessionRoot(self.state_dir, config, fsync=fsync, fs=fs)
         self.config = config
         self.policy = policy
-        self.fsync = bool(fsync)
-        self.fs = fs
         self.replication = replication
-        self.recover = bool(recover)
         self.report = report if report is not None else ValidationReport(str(policy))
         self._enforcer = PolicyEnforcer(policy, self.report, source)
         self._enforcer.attach_quarantine_writer(
             CsvQuarantineWriter(self.state_dir / source, self.report)
         )
-        self.sessions: dict[str, AdvisorSession] = {}
+        self.sessions: dict[str, AdvisorSession] = self._root.sessions
         self.received = 0
         self.malformed = 0
         # Batched-ingest throughput counters (health_snapshot -> ingest.batch).
         self.batch_chunks = 0
         self.batch_events = 0
         self.batch_seconds = 0.0
+        self._root.recover(self._build)
 
     # -- sessions ---------------------------------------------------------
 
-    def session(self, vehicle_id: str) -> AdvisorSession:
-        """The vehicle's session, creating (and recovering) it on first use."""
-        vehicle_id = str(vehicle_id)
-        existing = self.sessions.get(vehicle_id)
-        if existing is not None:
-            return existing
-        session = self.config.build_session(
-            vehicle_id,
-            self.state_dir / "vehicles" / _vehicle_dirname(vehicle_id),
-            enforcer=self._enforcer,
-            fsync=self.fsync,
-            recover=self.recover,
-            fs=self.fs,
+    def _build(self, vehicle_id: str) -> AdvisorSession:
+        return self.config.build_session(
+            vehicle_id, enforcer=self._enforcer, root=self._root
         )
-        self.sessions[vehicle_id] = session
+
+    def session(self, vehicle_id: str) -> AdvisorSession:
+        """The vehicle's session; a vehicle new to the root starts fresh."""
+        vehicle_id = str(vehicle_id)
+        session = self.sessions.get(vehicle_id)
+        if session is None:
+            session = self.sessions[vehicle_id] = self._build(vehicle_id)
         return session
 
     # -- ingestion --------------------------------------------------------
@@ -405,9 +374,9 @@ class AdvisorService:
         return gate_on_replication(self.replication, reasons)
 
     def close(self) -> None:
-        """Flush durable state: a final compaction for every session with
-        work since its last one (a warm-recovered fleet that received
-        nothing rewrites no snapshot).
+        """Flush durable state: a final compaction of the root when any
+        session has work since the last one (a warm-recovered fleet that
+        received nothing rewrites no snapshot).
 
         A durability-suspended session gets one forced probe first — the
         last chance to land its buffered tail before the process exits
@@ -422,52 +391,5 @@ class AdvisorService:
         self._enforcer.close()
 
 
-class RegisteredAdvisorService(AdvisorService):
-    """An ``AdvisorService`` that can warm-recover its whole fleet.
-
-    The stock service recovers sessions lazily on first use, which is
-    fine when the full stream is redelivered after a restart — but a
-    respawned shard only gets its unacknowledged chunks back, and a
-    promoted standby gets nothing at all, so both must restore every
-    session the root ever held before answering health or digest
-    queries.  Vehicle directory names are hashed and cannot be inverted,
-    so the service keeps a registry (JSONL of vehicle ids at
-    :data:`REGISTRY_NAME`, appended and flushed *before* the session's
-    durable state is created — a crash can orphan a registry line, never
-    a session) and replays it at startup.  The registry file itself is
-    shipped by the replication layer, which is what lets ``promote``
-    rebuild each session under its correct RNG seed.
-    """
-
-    def __init__(self, state_dir, config, **kwargs) -> None:
-        super().__init__(state_dir, config, **kwargs)
-        self._registry_path = self.state_dir / REGISTRY_NAME
-        # Every registered id in first-seen order (a dict, so the dedup
-        # of a 100k-line registry stays linear).
-        self._registered: dict[str, None] = {}
-        if self._registry_path.exists():
-            for line in self._registry_path.read_text().splitlines():
-                try:
-                    vehicle_id = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail: the id re-registers on redelivery
-                if isinstance(vehicle_id, str):
-                    self._registered[vehicle_id] = None
-        self._registry = open(self._registry_path, "a")
-        if self.recover:
-            for vehicle_id in self._registered:
-                self.session(vehicle_id)
-
-    def session(self, vehicle_id):
-        vehicle_id = str(vehicle_id)
-        if vehicle_id not in self._registered:
-            self._registry.write(json.dumps(vehicle_id) + "\n")
-            self._registry.flush()
-            if self.fsync:
-                os.fsync(self._registry.fileno())
-            self._registered[vehicle_id] = None
-        return super().session(vehicle_id)
-
-    def close(self) -> None:
-        super().close()
-        self._registry.close()
+#: ``fleetbench/tracing.py`` wraps the service under this name.
+RegisteredAdvisorService = AdvisorService

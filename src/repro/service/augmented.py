@@ -402,21 +402,13 @@ class AugmentedAdvisorSession(AdvisorSession):
 
     # -- durability --------------------------------------------------------
 
-    def _augmented_state(self) -> dict:
-        return {
+    def to_state(self) -> dict:
+        state = super().to_state()
+        state["augmented"] = {
             "predictor": None if self.predictor is None else self.predictor.to_state(),
             "trust": self.trust_learner.to_state(),
         }
-
-    def to_state(self) -> dict:
-        state = super().to_state()
-        state["augmented"] = self._augmented_state()
         return state
-
-    def _delta_changed_fields(self) -> dict:
-        changed = super()._delta_changed_fields()
-        changed["augmented"] = self._augmented_state()
-        return changed
 
     def _load_state(self, state: dict) -> None:
         super()._load_state(state)

@@ -3,23 +3,25 @@
 The serving tier's durability story (CRC-framed WAL + atomic snapshots,
 PR 5) lives on one state directory — losing the machine loses every
 session, trust weight, and RNG stream bit-for-bit irrecoverably.  This
-module adds the missing layer:
+module adds the missing layer, one **service root** at a time (the
+state dir itself, or each ``shard-NN/`` of a sharded one — see
+:func:`service_roots`), each with one WAL and one snapshot store:
 
-* **Shipping** — :func:`sync_once` streams every session's WAL frames
-  (via :meth:`WriteAheadLog.follow`) plus snapshot/delta sidecars and
-  the ``vehicles.idx`` registry to a :class:`LocalReplicaTarget` or, over
-  the wire, a :class:`RemoteReplicaTarget` talking JSONL to a
-  :class:`ReplicaServer`.  A watermark file on the standby records
-  ``(session, applied_seq)`` so catch-up after a standby restart resumes
-  from the watermark instead of re-shipping history, and so replication
-  lag is observable (:class:`ReplicationMonitor`, surfaced in
-  ``/health`` and ``/ready``).
+* **Shipping** — :func:`sync_once` streams each root's WAL frames (via
+  :meth:`WriteAheadLog.follow`) plus its snapshot base and delta log to
+  a :class:`LocalReplicaTarget` or, over the wire, a
+  :class:`RemoteReplicaTarget` talking JSONL to a :class:`ReplicaServer`.
+  A watermark file on the standby records, per root, the snapshot
+  shipped and each vehicle's shipped ``seq``, so catch-up after a
+  standby restart resumes from the watermark instead of re-shipping
+  history, and so replication lag is observable per vehicle
+  (:class:`ReplicationMonitor`, surfaced in ``/health`` and ``/ready``).
 
 * **Promotion** — :func:`promote` fences the old primary via the
   ``shard.lock`` owner-token machinery (a *live* owner refuses the
   promotion: split-brain), then brings the standby up through the
-  ordinary compact-then-replay recovery path so its ``state_digest()``
-  is bit-identical to a clean continuation of the primary.
+  ordinary recovery path so its ``state_digest()`` is bit-identical to
+  a clean continuation of the primary.
 
 * **Point-in-time recovery** — :func:`backup` copies a state dir into a
   cold archive under a CRC-framed manifest of content hashes;
@@ -29,16 +31,18 @@ module adds the missing layer:
 * **Verification** — :func:`fleet_doctor` cross-checks WAL/snapshot
   integrity, seq contiguity, replica watermarks and logical digests,
   and archive manifests end to end; :func:`sweep_state_dir` reclaims
-  the orphaned ``.tmp*`` files and stale delta sidecars a SIGKILL mid-
+  the orphaned ``.tmp*`` files and stale delta logs a SIGKILL mid-
   compaction leaves behind.
 
-Correctness hinges on two orderings.  The shipper reads each session's
-**WAL before its snapshot**: a compaction racing the pass then always
-ships the covering snapshot in the same pass, so the standby never holds
-frames whose prefix is missing.  The target applies **snapshots before
-frames**: a standby crash mid-pass leaves a consistent prefix state.
-Frame application is idempotent (the target drops frames at or below its
-local WAL tip), so re-shipping after a dropped connection is safe.
+Correctness hinges on two orderings.  The shipper reads each root's
+**WAL, then its delta log, then its base**: a compaction racing the
+pass then always ships the covering states in the same pass, so the
+standby never holds frames whose prefix is missing, and a base newer
+than the delta read before it makes that delta stale rather than
+mismatched.  The target applies **snapshots before frames**: a standby
+crash mid-pass leaves a consistent prefix state.  Frame application is
+idempotent (the target drops frames at or below its local per-vehicle
+WAL tip), so re-shipping after a dropped connection is safe.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from pathlib import Path
 
 from ..engine.faults import owner_alive, pid_alive
 from ..errors import ReproError
-from .advisor import REGISTRY_NAME, RegisteredAdvisorService, _vehicle_dirname
+from .advisor import AdvisorService
 from .frontend import parse_listen
 from .shard import SHARD_LOCK_NAME, ShardLockError, acquire_shard_lock, release_shard_lock
 from .wal import (
@@ -64,6 +68,8 @@ from .wal import (
     WalCorruptionError,
     WriteAheadLog,
     _unframe,
+    base_generation,
+    snapshot_states,
 )
 
 __all__ = [
@@ -79,23 +85,24 @@ __all__ = [
     "fleet_doctor",
     "promote",
     "read_manifest",
-    "registry_files",
     "replicate",
     "restore",
     "service_roots",
-    "session_dirs",
     "sweep_state_dir",
     "sync_once",
 ]
 
 #: Watermark sidecar at the standby root: one CRC-framed JSON line
-#: mapping session keys to ``{"applied": seq, "snapshot": seq, "delta":
-#: seq}`` (registry keys map to ``{"bytes": n}``).
+#: mapping root keys to ``{"snapshot": [base generation, delta length],
+#: "vehicles": {vehicle: shipped seq}}``.
 WATERMARKS_NAME = "replica.watermarks.json"
 
 #: CRC-framed backup manifest, written *last* so a torn backup is a
 #: missing manifest, never a silently short archive.
 MANIFEST_NAME = "backup.manifest.json"
+
+#: The durable files of one service root.
+ROOT_FILES = (SNAPSHOT_NAME, DELTA_NAME, WAL_NAME)
 
 #: JSONL line limit on the replication channel — a ``frames`` op or a
 #: shipped snapshot can far exceed the frontend's 1 MiB event limit.
@@ -107,61 +114,25 @@ _FRAMES_PER_OP = 512
 
 class ReplicationError(ReproError, RuntimeError):
     """Replication/backup invariant violated (gap, divergence, corrupt
-    archive, unidentifiable session) — never silently continued past."""
+    archive, history compacted away) — never silently continued past."""
 
 
 # ---------------------------------------------------------------------------
 # State-dir layout helpers
 
 
-def session_dirs(state_dir: str | Path) -> list[tuple[str, Path]]:
-    """Every session directory under ``state_dir`` as ``(key, path)``.
-
-    Keys are POSIX relpaths — ``vehicles/<dirname>`` for a flat service
-    dir, ``shard-NN/vehicles/<dirname>`` under a sharded one — and are
-    the unit of replication: watermark entries, shipped-frame batches,
-    and doctor reports are all addressed by these keys.
-    """
-    state_dir = Path(state_dir)
-    roots: list[tuple[Path, str]] = [(state_dir, "")]
-    for shard in sorted(state_dir.glob("shard-*")):
-        if shard.is_dir():
-            roots.append((shard, shard.name + "/"))
-    found: list[tuple[str, Path]] = []
-    for root, prefix in roots:
-        vehicles = root / "vehicles"
-        if not vehicles.is_dir():
-            continue
-        for vdir in sorted(vehicles.iterdir()):
-            if not vdir.is_dir():
-                continue
-            if any(
-                (vdir / name).exists()
-                for name in (WAL_NAME, SNAPSHOT_NAME, DELTA_NAME)
-            ):
-                found.append((prefix + "vehicles/" + vdir.name, vdir))
-    return found
-
-
-def service_roots(state_dir: str | Path) -> list[Path]:
-    """The advisor-service roots under ``state_dir``: its ``shard-*``
-    subdirectories when sharded, else the directory itself."""
+def service_roots(state_dir: str | Path) -> list[tuple[str, Path]]:
+    """The service roots under ``state_dir`` as ``(key, path)``: its
+    ``shard-*`` subdirectories when sharded, else the directory itself
+    under key ``""``.  Keys are the unit of replication: watermarks,
+    shipped frames and relpaths are addressed by them."""
     state_dir = Path(state_dir)
     shards = sorted(path for path in state_dir.glob("shard-*") if path.is_dir())
-    return shards or [state_dir]
+    return [(path.name, path) for path in shards] or [("", state_dir)]
 
 
-def registry_files(state_dir: str | Path) -> list[str]:
-    """Relpaths of the ``vehicles.idx`` registries present under
-    ``state_dir`` (one per service root)."""
-    state_dir = Path(state_dir)
-    rels = []
-    for root in service_roots(state_dir):
-        if (root / REGISTRY_NAME).exists():
-            rels.append(
-                REGISTRY_NAME if root == state_dir else root.name + "/" + REGISTRY_NAME
-            )
-    return rels
+def _rel(key: str, name: str) -> str:
+    return f"{key}/{name}" if key else name
 
 
 def _publish_text(path: Path, text: str, *, fs=None, op: str = "replica-publish") -> None:
@@ -187,36 +158,45 @@ def _load_marks(path: Path) -> dict:
     return payload["marks"]
 
 
-def durable_summary(session_dir: str | Path) -> dict:
-    """One session directory's durable state in one pass:
-    ``{"tip", "snapshot_seq", "digest"}``.
+def _shipped(marks: dict, key: str) -> dict:
+    """vehicle -> shipped seq of one root's watermark (empty when none)."""
+    mark = marks.get(key)
+    vehicles = mark.get("vehicles") if isinstance(mark, dict) else None
+    return dict(vehicles) if isinstance(vehicles, dict) else {}
 
-    ``tip`` is the highest durably-applied seq (merged snapshot or WAL
-    tail, whichever is further); ``digest`` hashes the merged snapshot
-    state plus the WAL records beyond it, so two directories with the
-    same tip *and the same snapshot seq* must agree bit-for-bit.  (Two
-    dirs at the same tip but different compaction points legitimately
-    differ — the doctor only compares digests when snapshot seqs match.)
+
+def durable_summary(root: str | Path) -> dict:
+    """One service root's durable state in one pass, per vehicle:
+    ``{vehicle: {"tip", "snapshot_seq", "digest"}}``.
+
+    ``tip`` is the highest durably-applied seq (compacted state or WAL
+    tail, whichever is further); ``digest`` hashes the compacted state
+    plus the WAL records beyond it, so two roots with the same tip *and
+    the same snapshot seq* must agree bit-for-bit.  (Two roots at the
+    same tip but different compaction points legitimately differ — the
+    doctor only compares digests when snapshot seqs match.)
     """
-    session_dir = Path(session_dir)
-    loaded = SnapshotStore(session_dir / SNAPSHOT_NAME).load()
-    seq, state = loaded if loaded is not None else (0, None)
-    wal = WriteAheadLog(session_dir / WAL_NAME)
-    tail = [record for _seq, _line, record in wal.follow(seq)]
-    tip = tail[-1]["seq"] if tail else seq
-    body = json.dumps(
-        {"seq": seq, "state": state, "tail": tail}, sort_keys=True, default=str
-    )
-    return {
-        "tip": tip,
-        "snapshot_seq": seq,
-        "digest": hashlib.sha256(body.encode()).hexdigest(),
-    }
-
-
-def durable_tip(session_dir: str | Path) -> int:
-    """Highest durably-applied seq in one session directory."""
-    return durable_summary(session_dir)["tip"]
+    root = Path(root)
+    states = SnapshotStore(root / SNAPSHOT_NAME).load()
+    tails: dict[str, list] = {}
+    for seq, _line, record in WriteAheadLog(root / WAL_NAME).follow(0):
+        state = states.get(record["v"])
+        if state is None or seq > state["applied"]:
+            tails.setdefault(record["v"], []).append(record)
+    summary = {}
+    for vehicle in sorted(states.keys() | tails.keys()):
+        state = states.get(vehicle)
+        seq = 0 if state is None else state["applied"]
+        tail = tails.get(vehicle, [])
+        body = json.dumps(
+            {"seq": seq, "state": state, "tail": tail}, sort_keys=True, default=str
+        )
+        summary[vehicle] = {
+            "tip": tail[-1]["seq"] if tail else seq,
+            "snapshot_seq": seq,
+            "digest": hashlib.sha256(body.encode()).hexdigest(),
+        }
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +218,8 @@ class LocalReplicaTarget:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.fs = fs
         self._marks = _load_marks(self.state_dir / WATERMARKS_NAME)
-        self._tips: dict[str, int] = {}
+        #: root key -> vehicle -> standby WAL tip, read once per root.
+        self._tips: dict[str, dict] = {}
 
     def watermarks(self) -> dict:
         return {key: dict(mark) for key, mark in self._marks.items()}
@@ -253,38 +234,34 @@ class LocalReplicaTarget:
             pass
 
     def append_frames(self, key: str, lines: list[str]) -> int:
-        """Append shipped WAL frames for session ``key``; returns how
-        many were new.  Every line is CRC-verified again here (end-to-end
-        integrity), unframed, filtered to ``seq`` beyond the local tip,
-        and re-appended — framing is deterministic, so the standby's WAL
-        bytes equal the primary's.
+        """Append shipped WAL frames to root ``key``; returns how many
+        were new.  Every line is CRC-verified again here (end-to-end
+        integrity), unframed, filtered to ``seq`` beyond the standby
+        WAL's tip for its vehicle, and re-appended — framing is
+        deterministic, so the standby's WAL bytes equal the primary's.
         """
-        wal = WriteAheadLog(self.state_dir / key / WAL_NAME, fs=self.fs)
-        tip = self._tips.get(key)
-        if tip is None:
-            tip = wal.last_seq()
+        wal = WriteAheadLog(self.state_dir / _rel(key, WAL_NAME), fs=self.fs)
+        tips = self._tips.get(key)
+        if tips is None:
+            tips = {record["v"]: seq for seq, _line, record in wal.follow(0)}
+        tips = dict(tips)
         records = []
         for line in lines:
             record = _unframe(line)
             if record is None:
                 raise ReplicationError(
-                    f"{key}: shipped frame failed its CRC check in transit"
+                    f"{key or '.'}: shipped frame failed its CRC check in transit"
                 )
-            seq = record.get("seq")
-            if type(seq) is not int:
-                raise ReplicationError(f"{key}: shipped frame carries no seq")
-            if seq <= tip:
-                continue
-            if records and seq <= records[-1]["seq"]:
+            seq, vehicle = record.get("seq"), record.get("v")
+            if type(seq) is not int or type(vehicle) is not str:
                 raise ReplicationError(
-                    f"{key}: shipped frames out of order ({records[-1]['seq']} "
-                    f"then {seq})"
+                    f"{key or '.'}: shipped frame carries no seq or vehicle"
                 )
-            records.append(record)
-        if records:
-            wal.append_many(records)
-            tip = records[-1]["seq"]
-        self._tips[key] = tip
+            if seq > tips.get(vehicle, 0):
+                records.append(record)
+                tips[vehicle] = seq
+        wal.append_many(records)
+        self._tips[key] = tips
         return len(records)
 
     def set_mark(self, key: str, mark: dict) -> None:
@@ -497,97 +474,57 @@ class ReplicaServer:
 def sync_once(primary_dir: str | Path, target, *, fs=None) -> dict:
     """One replication pass: ship everything the target hasn't seen.
 
-    Read order per session is WAL **then** snapshot — if a compaction
-    lands between the two reads, the snapshot we then read covers every
-    frame the reset just dropped, so this same pass ships it and the
-    standby never sees a history gap.  (The converse order could read a
-    pre-compaction snapshot and a post-compaction WAL whose first frame
-    is far beyond it.)  A gap that does appear — the primary compacted
-    *and* its snapshot is older than the WAL start, i.e. history the
-    standby never received is gone — raises :class:`ReplicationError`
-    rather than shipping a stream recovery would silently mis-apply.
+    Read order per root is WAL, then delta log, then base (see the
+    module docstring).  The snapshot is re-shipped, and its per-vehicle
+    seqs folded into the watermark, only when its base generation or
+    delta length moved.  A vehicle's frames must then continue from
+    what the standby holds: a first frame beyond it means the primary
+    compacted history the standby never received, and raises
+    :class:`ReplicationError` rather than shipping a stream recovery
+    would silently mis-apply.
     """
-    primary = Path(primary_dir)
     marks = target.watermarks()
-    stats = {"vehicles": 0, "frames": 0, "snapshots": 0, "deltas": 0, "registries": 0}
-
-    for rel in registry_files(primary):
-        data = (primary / rel).read_text()
-        mark = marks.get(rel) or {}
-        if mark.get("bytes") != len(data):
-            target.put_text(rel, data)
-            target.set_mark(rel, {"bytes": len(data)})
-            stats["registries"] += 1
-
-    for key, vdir in session_dirs(primary):
-        stats["vehicles"] += 1
-        mark = marks.get(key) or {}
-        applied = int(mark.get("applied", 0))
-        snap_mark = int(mark.get("snapshot", 0))
-        delta_mark = int(mark.get("delta", 0))
-
-        wal = WriteAheadLog(vdir / WAL_NAME, fs=fs)
-        frames = list(wal.follow(applied))
-
-        snap_path = vdir / SNAPSHOT_NAME
-        snap_text = snap_path.read_text() if snap_path.exists() else None
-        snap_seq = 0
-        if snap_text is not None:
-            payload = _unframe(snap_text.strip())
-            if payload is None or "seq" not in payload:
-                raise WalCorruptionError(
-                    f"{snap_path}: snapshot failed its CRC check"
-                )
-            snap_seq = int(payload["seq"])
-        merged_seq = snap_seq
-
-        delta_path = vdir / DELTA_NAME
-        delta_text = delta_path.read_text() if delta_path.exists() else None
-        delta_seq = 0
-        if delta_text is not None:
-            payload = _unframe(delta_text.strip())
-            if payload is None or "base_seq" not in payload or "seq" not in payload:
-                raise WalCorruptionError(
-                    f"{delta_path}: snapshot delta failed its CRC check"
-                )
-            if int(payload["base_seq"]) == snap_seq:
-                delta_seq = int(payload["seq"])
-                merged_seq = max(merged_seq, delta_seq)
-            else:
-                delta_text = None  # stale — extends a base that moved on
-
-        if frames and frames[0][0] > applied + 1 and merged_seq < frames[0][0] - 1:
-            raise ReplicationError(
-                f"{key}: primary WAL starts at seq {frames[0][0]} but the standby "
-                f"applied only {applied} and no snapshot covers the gap — "
-                f"history needed for catch-up is gone"
+    stats = {"roots": 0, "frames": 0, "snapshots": 0, "deltas": 0}
+    for key, root in service_roots(primary_dir):
+        stats["roots"] += 1
+        frames = list(WriteAheadLog(root / WAL_NAME, fs=fs).follow(0))
+        delta_path, base_path = root / DELTA_NAME, root / SNAPSHOT_NAME
+        delta_text = delta_path.read_text() if delta_path.exists() else ""
+        base_text = base_path.read_text() if base_path.exists() else None
+        mark = marks.get(key) if isinstance(marks.get(key), dict) else {}
+        shipped = _shipped(marks, key)
+        version = [base_generation(base_text), len(delta_text)]
+        if version != mark.get("snapshot"):
+            _generation, states, _applied = snapshot_states(
+                base_text, delta_text, base_path
             )
-
-        if snap_text is not None and snap_seq > snap_mark:
-            target.put_text(key + "/" + SNAPSHOT_NAME, snap_text)
-            stats["snapshots"] += 1
-        if delta_text is not None:
-            if delta_seq > delta_mark:
-                target.put_text(key + "/" + DELTA_NAME, delta_text)
+            if base_text is not None:
+                target.put_text(_rel(key, SNAPSHOT_NAME), base_text)
+                stats["snapshots"] += 1
+            if delta_text:
+                target.put_text(_rel(key, DELTA_NAME), delta_text)
                 stats["deltas"] += 1
-        elif delta_mark:
-            target.remove(key + "/" + DELTA_NAME)
-
-        if frames:
-            stats["frames"] += target.append_frames(
-                key, [line for _seq, line, _record in frames]
-            )
-
-        tip = max(applied, merged_seq, frames[-1][0] if frames else 0)
-        target.set_mark(
-            key,
-            {
-                "applied": tip,
-                "snapshot": max(snap_mark, snap_seq),
-                "delta": delta_seq if delta_text is not None else 0,
-            },
-        )
-
+            else:
+                target.remove(_rel(key, DELTA_NAME))
+            for vehicle, state in states.items():
+                shipped[vehicle] = max(shipped.get(vehicle, 0), state["applied"])
+        lines = []
+        for seq, line, record in frames:
+            vehicle = record["v"]
+            have = shipped.get(vehicle, 0)
+            if seq <= have:
+                continue
+            if seq != have + 1:
+                raise ReplicationError(
+                    f"{key or '.'}: vehicle {vehicle!r}: primary WAL resumes at "
+                    f"seq {seq} but the standby holds only {have} and no "
+                    f"snapshot covers the gap — history needed for catch-up is gone"
+                )
+            lines.append(line)
+            shipped[vehicle] = seq
+        if lines:
+            stats["frames"] += target.append_frames(key, lines)
+        target.set_mark(key, {"snapshot": version, "vehicles": shipped})
     target.commit()
     return stats
 
@@ -615,7 +552,6 @@ def replicate(
         "frames": 0,
         "snapshots": 0,
         "deltas": 0,
-        "registries": 0,
         "channel_errors": 0,
     }
     while True:
@@ -632,7 +568,7 @@ def replicate(
                 ) from exc
         else:
             totals["passes"] += 1
-            for field in ("frames", "snapshots", "deltas", "registries"):
+            for field in ("frames", "snapshots", "deltas"):
                 totals[field] += stats[field]
             if passes is not None and totals["passes"] >= passes:
                 break
@@ -646,17 +582,6 @@ def replicate(
 
 # ---------------------------------------------------------------------------
 # Promotion
-
-
-def _identify_vehicle(session_dir: Path) -> str | None:
-    """The vehicle id a session directory belongs to, from its snapshot
-    (``state["vehicle"]``) — the fallback when the registry is silent,
-    since the hashed directory name is not invertible."""
-    loaded = SnapshotStore(session_dir / SNAPSHOT_NAME).load()
-    if loaded is None:
-        return None
-    vehicle = loaded[1].get("vehicle")
-    return vehicle if isinstance(vehicle, str) else None
 
 
 def promote(
@@ -676,18 +601,15 @@ def promote(
     failover.  Dead owners are stale locks and promotion proceeds.
 
     The promotion itself is the ordinary recovery path: acquire each
-    service root's lock, rebuild every session from its registry entry
-    (falling back to the snapshot's own vehicle id), and close — the
-    compact-then-replay step.  Because recovery is bit-identical, the
-    returned per-vehicle ``state_digest()`` values equal what a clean
-    continuation of the primary would have had.  A session directory
-    that *cannot* be identified raises rather than silently dropping a
-    vehicle's history.
+    service root's lock, open it (which rebuilds every session the root
+    holds from its snapshot and WAL), and close — the compaction step.
+    Because recovery is bit-identical, the returned per-vehicle
+    ``state_digest()`` values equal what a clean continuation of the
+    primary would have had.
     """
     state_dir = Path(state_dir)
     if fence is not None:
-        fence = Path(fence)
-        for lock in sorted(fence.rglob(SHARD_LOCK_NAME)):
+        for lock in sorted(Path(fence).rglob(SHARD_LOCK_NAME)):
             try:
                 record = lock.read_text()
             except OSError:
@@ -702,37 +624,13 @@ def promote(
     digests: dict[str, str] = {}
     costs: dict[str, float] = {}
     roots: list[str] = []
-    for root in service_roots(state_dir):
+    for _key, root in service_roots(state_dir):
         roots.append(str(root))
         lock = acquire_shard_lock(root)
         try:
-            service = RegisteredAdvisorService(
-                root, config, policy=policy, fsync=fsync, fs=fs, recover=True
-            )
+            service = AdvisorService(root, config, policy=policy, fsync=fsync, fs=fs)
             try:
-                known_dirs = {
-                    _vehicle_dirname(vid) for vid in service.sessions
-                }
-                for _key, vdir in session_dirs(root):
-                    if vdir.name in known_dirs:
-                        continue
-                    vehicle = _identify_vehicle(vdir)
-                    if vehicle is None:
-                        raise ReplicationError(
-                            f"{vdir}: session directory has no registry entry "
-                            f"and no snapshot naming its vehicle — its RNG "
-                            f"stream cannot be rebuilt"
-                        )
-                    if _vehicle_dirname(vehicle) != vdir.name:
-                        raise ReplicationError(
-                            f"{vdir}: snapshot claims vehicle {vehicle!r} but "
-                            f"that vehicle maps to a different directory — "
-                            f"misplaced session state"
-                        )
-                    service.session(vehicle)
-                    known_dirs.add(vdir.name)
-                snapshot = service.health_snapshot()
-                for vid, info in snapshot["vehicles"].items():
+                for vid, info in service.health_snapshot()["vehicles"].items():
                     digests[vid] = info["digest"]
                     costs[vid] = info["total_cost"]
             finally:
@@ -778,13 +676,14 @@ def backup(state_dir: str | Path, archive_dir: str | Path, *, fs=None) -> dict:
         )
     archive.mkdir(parents=True, exist_ok=True)
 
-    rels = list(registry_files(state_dir))
-    if (state_dir / WATERMARKS_NAME).exists():
-        rels.append(WATERMARKS_NAME)
-    for key, vdir in session_dirs(state_dir):
-        for name in (WAL_NAME, SNAPSHOT_NAME, DELTA_NAME):
-            if (vdir / name).exists():
-                rels.append(key + "/" + name)
+    rels = [WATERMARKS_NAME] if (state_dir / WATERMARKS_NAME).exists() else []
+    for key, root in service_roots(state_dir):
+        # An empty log (a WAL or delta just reset) holds no state.
+        rels += [
+            _rel(key, name)
+            for name in ROOT_FILES
+            if (root / name).exists() and (root / name).stat().st_size
+        ]
 
     files = {}
     for rel in rels:
@@ -801,16 +700,12 @@ def backup(state_dir: str | Path, archive_dir: str | Path, *, fs=None) -> dict:
             "bytes": len(data),
         }
 
-    vehicles = {}
-    for key, vdir in session_dirs(archive):
-        summary = durable_summary(vdir)
-        entry = {"tip": summary["tip"], "digest": summary["digest"]}
-        vehicle = _identify_vehicle(vdir)
-        if vehicle is not None:
-            entry["vehicle"] = vehicle
-        vehicles[key] = entry
-
-    manifest = {"version": 1, "files": files, "vehicles": vehicles}
+    vehicles = {
+        vehicle: {"root": key, "tip": info["tip"], "digest": info["digest"]}
+        for key, root in service_roots(archive)
+        for vehicle, info in durable_summary(root).items()
+    }
+    manifest = {"version": 2, "files": files, "vehicles": vehicles}
     body = json.dumps(manifest, sort_keys=True, allow_nan=False)
     if fs is not None:
         fs.check("backup-write", manifest_path)
@@ -845,17 +740,21 @@ def restore(
 
     Every archived file's hash is verified against the manifest *before
     anything is written* — a corrupt backup aborts with the target
-    untouched.  With ``upto_seq``, history past that point is dropped:
-    a delta beyond it is removed, the WAL is truncated to frames at or
-    below it, and a full snapshot already past it (compaction consumed
-    the requested history) refuses the restore rather than producing a
-    state newer than asked for.
+    untouched.  With ``upto_seq``, every vehicle's history past that seq
+    is dropped from the WAL; a vehicle whose compacted state already
+    lies past it (compaction consumed the history that restore point
+    needs) refuses the restore, also before anything is written, rather
+    than producing a state other than the one asked for.
     """
     archive = Path(archive_dir)
     state_dir = Path(state_dir)
     manifest = read_manifest(archive)
     state_dir.mkdir(parents=True, exist_ok=True)
-    if session_dirs(state_dir):
+    if any(
+        (root / name).exists()
+        for _key, root in service_roots(state_dir)
+        for name in ROOT_FILES
+    ):
         raise ReplicationError(
             f"{state_dir}: target already holds session state — refusing to "
             f"restore over it"
@@ -873,6 +772,16 @@ def restore(
                 f"corrupt backup: {rel} does not match its manifest hash"
             )
 
+    if upto_seq is not None:
+        for key, root in service_roots(archive):
+            for vehicle, state in SnapshotStore(root / SNAPSHOT_NAME).load().items():
+                if state["applied"] > upto_seq:
+                    raise ReplicationError(
+                        f"{key or '.'}: vehicle {vehicle!r} is compacted at seq "
+                        f"{state['applied']} > --upto-seq {upto_seq}; compaction "
+                        f"already consumed the history that restore point needs"
+                    )
+
     report = {"files": 0, "truncated": {}, "upto_seq": upto_seq}
     for rel in sorted(manifest["files"]):
         if rel == WATERMARKS_NAME:
@@ -888,39 +797,16 @@ def restore(
         report["files"] += 1
 
     if upto_seq is not None:
-        for key, vdir in session_dirs(state_dir):
-            snap_path = vdir / SNAPSHOT_NAME
-            full_seq = 0
-            if snap_path.exists():
-                payload = _unframe(snap_path.read_text().strip())
-                if payload is None or "seq" not in payload:
-                    raise ReplicationError(
-                        f"corrupt backup: {key} snapshot failed its CRC check"
-                    )
-                full_seq = int(payload["seq"])
-            if full_seq > upto_seq:
-                raise ReplicationError(
-                    f"{key}: full snapshot is at seq {full_seq} > --upto-seq "
-                    f"{upto_seq}; compaction already consumed the history that "
-                    f"restore point needs"
-                )
-            delta_path = vdir / DELTA_NAME
-            if delta_path.exists():
-                payload = _unframe(delta_path.read_text().strip())
-                if payload is None or "base_seq" not in payload or "seq" not in payload:
-                    raise ReplicationError(
-                        f"corrupt backup: {key} delta failed its CRC check"
-                    )
-                if int(payload["base_seq"]) == full_seq and int(payload["seq"]) > upto_seq:
-                    delta_path.unlink()
-            wal = WriteAheadLog(vdir / WAL_NAME, fs=fs)
-            kept, dropped = [], 0
-            for seq, line, _record in wal.follow(0):
+        for _key, root in service_roots(state_dir):
+            wal = WriteAheadLog(root / WAL_NAME, fs=fs)
+            kept, dropped = [], {}
+            for seq, line, record in wal.follow(0):
                 if seq <= upto_seq:
                     kept.append(line)
                 else:
-                    dropped += 1
+                    dropped[record["v"]] = dropped.get(record["v"], 0) + 1
             if dropped:
+                report["truncated"].update(dropped)
                 if fs is not None:
                     fs.check("restore-write", wal.path)
                 tmp = wal.path.with_name(wal.path.name + f".tmp{os.getpid()}")
@@ -928,12 +814,48 @@ def restore(
                     handle.write("".join(line + "\n" for line in kept))
                     handle.flush()
                 os.replace(tmp, wal.path)
-                report["truncated"][key] = dropped
     return report
 
 
 # ---------------------------------------------------------------------------
 # End-to-end verification
+
+
+def _check_root(key: str, root: Path, problems: list, warnings: list) -> dict | None:
+    """One root's integrity findings; its :func:`durable_summary`, or
+    None when corruption makes it unreadable."""
+    where = key or "."
+    try:
+        states = SnapshotStore(root / SNAPSHOT_NAME).load()
+    except WalCorruptionError as exc:
+        problems.append(f"{where}: snapshot-corrupt: {exc}")
+        return None
+    wal = WriteAheadLog(root / WAL_NAME)
+    try:
+        frames = list(wal.follow(0))
+    except WalCorruptionError as exc:
+        problems.append(f"{where}: wal-corrupt: {exc}")
+        return None
+    if wal.tail_torn:
+        warnings.append(
+            f"{where}: wal-tail-torn (final frame dropped — in-flight append)"
+        )
+    expect = {vehicle: state["applied"] for vehicle, state in states.items()}
+    gapped: set[str] = set()
+    for seq, _line, record in frames:
+        vehicle = record["v"]
+        have = expect.get(vehicle, 0)
+        if seq <= have or vehicle in gapped:
+            continue
+        if seq != have + 1:
+            problems.append(
+                f"{where}: wal-gap: vehicle {vehicle!r} jumps {have} -> {seq} "
+                f"beyond its snapshot seq — recovery would silently skip events"
+            )
+            gapped.add(vehicle)
+            continue
+        expect[vehicle] = seq
+    return durable_summary(root)
 
 
 def fleet_doctor(
@@ -949,10 +871,10 @@ def fleet_doctor(
     ``problems`` are states recovery would get *wrong* or data that is
     already lost (corrupt frames, seq gaps, a replica ahead of its
     primary, divergent digests at the same compaction point, a corrupt
-    backup); ``warnings`` are benign-but-notable (torn tails, stale
-    deltas, unregistered sessions).  ``ok`` is ``problems == []``.
+    backup); ``warnings`` are benign-but-notable (torn tails).  ``ok``
+    is ``problems == []``.  ``vehicles`` is keyed by vehicle id.
 
-    With ``replica_dir``, per-session lag (primary durable tip minus
+    With ``replica_dir``, per-vehicle lag (primary durable tip minus
     replica durable tip) is reported, watermarks are checked against
     what is actually on the replica's disk, and — when both sides sit at
     the same tip *and* the same snapshot seq — their durable digests
@@ -965,80 +887,12 @@ def fleet_doctor(
     problems: list[str] = []
     warnings: list[str] = []
     vehicles: dict[str, dict] = {}
-
-    registered: set[str] = set()
-    for rel in registry_files(state_dir):
-        lines = (state_dir / rel).read_text().splitlines()
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                vehicle = json.loads(line)
-            except ValueError:
-                if index == len(lines) - 1:
-                    warnings.append(f"{rel}: torn trailing registry line (in-flight append)")
-                else:
-                    problems.append(f"{rel}: registry-corrupt: bad line {index + 1}")
-                continue
-            if isinstance(vehicle, str):
-                registered.add(vehicle)
-    registered_dirs = {_vehicle_dirname(vid) for vid in registered}
-
-    for key, vdir in session_dirs(state_dir):
-        info: dict = {"tip": 0, "snapshot_seq": 0, "digest": None}
-        vehicles[key] = info
-        snap = SnapshotStore(vdir / SNAPSHOT_NAME)
-        try:
-            loaded = snap.load()
-        except WalCorruptionError as exc:
-            problems.append(f"{key}: snapshot-corrupt: {exc}")
-            continue
-        merged_seq, state = loaded if loaded is not None else (0, None)
-
-        wal = WriteAheadLog(vdir / WAL_NAME)
-        try:
-            frames = list(wal.follow(0))
-        except WalCorruptionError as exc:
-            problems.append(f"{key}: wal-corrupt: {exc}")
-            continue
-        if wal.tail_torn:
-            warnings.append(f"{key}: wal-tail-torn (final frame dropped — in-flight append)")
-
-        expect = merged_seq
-        for seq, _line, _record in frames:
-            if seq <= merged_seq:
-                continue
-            if seq != expect + 1:
-                problems.append(
-                    f"{key}: wal-gap: seq jumps {expect} -> {seq} beyond "
-                    f"snapshot seq {merged_seq} — recovery would silently skip "
-                    f"events"
-                )
-                break
-            expect = seq
-
-        full_seq = 0
-        if snap.path.exists():
-            payload = _unframe(snap.path.read_text().strip())
-            if payload is not None and "seq" in payload:
-                full_seq = int(payload["seq"])
-        if snap.delta_path.exists():
-            payload = _unframe(snap.delta_path.read_text().strip())
-            if payload is not None and int(payload.get("base_seq", -1)) != full_seq:
-                warnings.append(
-                    f"{key}: stale delta (base_seq {payload.get('base_seq')} != "
-                    f"snapshot seq {full_seq}) — ignored on load; "
-                    f"`cache doctor --state-dir` reclaims it"
-                )
-
-        vehicle = state.get("vehicle") if isinstance(state, dict) else None
-        if vdir.name not in registered_dirs and not isinstance(vehicle, str):
-            warnings.append(
-                f"{key}: unidentified session (no registry entry, no snapshot) — "
-                f"promote would refuse this directory"
-            )
-
-        info.update(durable_summary(vdir))
+    summaries: dict[str, dict] = {}
+    for key, root in service_roots(state_dir):
+        summary = _check_root(key, root, problems, warnings)
+        if summary is not None:
+            summaries[key] = summary
+            vehicles.update(summary)
 
     replication = None
     if replica_dir is not None:
@@ -1048,62 +902,55 @@ def fleet_doctor(
             marks = _load_marks(replica_dir / WATERMARKS_NAME)
         except WalCorruptionError as exc:
             problems.append(f"replica: watermark-corrupt: {exc}")
-        lag_by_key: dict[str, int] = {}
-        total_lag = 0
-        max_lag_seen = 0
-        lagging = 0
-        for key, vdir in session_dirs(state_dir):
-            info = vehicles[key]
-            if info["digest"] is None:
-                continue  # primary side already flagged corrupt
-            rdir = replica_dir / key
-            r_summary = None
-            if rdir.is_dir():
-                try:
-                    r_summary = durable_summary(rdir)
-                except WalCorruptionError as exc:
-                    problems.append(f"replica {key}: {exc}")
-                    continue
-            r_tip = r_summary["tip"] if r_summary else 0
-            mark = marks.get(key) or {}
-            applied = int(mark.get("applied", 0)) if isinstance(mark, dict) else 0
-            if applied > r_tip:
-                problems.append(
-                    f"replica {key}: watermark-ahead: watermark claims applied "
-                    f"seq {applied} but replica state only reaches {r_tip}"
+        lag_by_vehicle: dict[str, int] = {}
+        for key, summary in summaries.items():
+            replica_root = replica_dir / key
+            try:
+                replicated = (
+                    durable_summary(replica_root) if replica_root.is_dir() else {}
                 )
-            if r_tip > info["tip"]:
-                problems.append(
-                    f"replica {key}: replica-ahead: replica at seq {r_tip} but "
-                    f"primary at {info['tip']} — wrong pairing or primary rollback"
-                )
-            lag = max(0, info["tip"] - r_tip)
-            lag_by_key[key] = lag
-            total_lag += lag
-            max_lag_seen = max(max_lag_seen, lag)
-            lagging += 1 if lag else 0
-            if (
-                r_summary is not None
-                and lag == 0
-                and r_tip == info["tip"]
-                and r_summary["snapshot_seq"] == info["snapshot_seq"]
-                and r_summary["digest"] != info["digest"]
-            ):
-                problems.append(
-                    f"replica {key}: replica-diverged: same durable tip "
-                    f"{info['tip']} and snapshot seq but different logical digest"
-                )
+            except WalCorruptionError as exc:
+                problems.append(f"replica {key or '.'}: {exc}")
+                continue
+            shipped = _shipped(marks, key)
+            for vehicle, info in summary.items():
+                other = replicated.get(vehicle)
+                r_tip = other["tip"] if other else 0
+                applied = int(shipped.get(vehicle, 0))
+                if applied > r_tip:
+                    problems.append(
+                        f"replica {vehicle}: watermark-ahead: watermark claims "
+                        f"applied seq {applied} but replica state only reaches {r_tip}"
+                    )
+                if r_tip > info["tip"]:
+                    problems.append(
+                        f"replica {vehicle}: replica-ahead: replica at seq {r_tip} "
+                        f"but primary at {info['tip']} — wrong pairing or primary "
+                        f"rollback"
+                    )
+                lag_by_vehicle[vehicle] = max(0, info["tip"] - r_tip)
+                if (
+                    other is not None
+                    and r_tip == info["tip"]
+                    and other["snapshot_seq"] == info["snapshot_seq"]
+                    and other["digest"] != info["digest"]
+                ):
+                    problems.append(
+                        f"replica {vehicle}: replica-diverged: same durable tip "
+                        f"{info['tip']} and snapshot seq but different logical digest"
+                    )
+        lags = lag_by_vehicle.values()
         replication = {
             "replica": str(replica_dir),
-            "max_lag_events": max_lag_seen,
-            "total_lag_events": total_lag,
-            "vehicles_lagging": lagging,
-            "lag": lag_by_key,
+            "max_lag_events": max(lags, default=0),
+            "total_lag_events": sum(lags),
+            "vehicles_lagging": sum(1 for lag in lags if lag),
+            "lag": lag_by_vehicle,
         }
-        if max_lag is not None and max_lag_seen > max_lag:
+        if max_lag is not None and replication["max_lag_events"] > max_lag:
             problems.append(
-                f"replication-lag: max lag {max_lag_seen} events exceeds the "
-                f"configured bound {max_lag}"
+                f"replication-lag: max lag {replication['max_lag_events']} events "
+                f"exceeds the configured bound {max_lag}"
             )
 
     archive = None
@@ -1164,11 +1011,11 @@ class ReplicationMonitor:
 
     Wire into ``AdvisorService(..., replication=monitor)`` (or the
     sharded service): ``health_snapshot()`` then carries a
-    ``replication`` section and ``/ready`` flips to 503 with a machine-
-    readable reason while any session lags past ``max_lag`` events.
-    Reads the primary's durable tips and the standby's watermark file —
-    both crash-safe artifacts — so it is accurate across restarts of
-    either side.
+    ``replication`` section, keyed by vehicle, and ``/ready`` flips to
+    503 with a machine-readable reason while any vehicle lags past
+    ``max_lag`` events.  Reads the primary's durable tips and the
+    standby's watermark file — both crash-safe artifacts — so it is
+    accurate across restarts of either side.
     """
 
     def __init__(
@@ -1186,29 +1033,29 @@ class ReplicationMonitor:
         except WalCorruptionError:
             corrupt = True
         per_vehicle: dict[str, dict] = {}
-        total_lag = 0
-        max_lag_seen = 0
-        lagging = 0
-        for key, vdir in session_dirs(self.primary_dir):
+        for key, root in service_roots(self.primary_dir):
             try:
-                tip = durable_summary(vdir)["tip"]
+                summary = durable_summary(root)
             except WalCorruptionError:
                 continue  # the doctor reports corruption; lag is moot here
-            mark = marks.get(key) or {}
-            applied = int(mark.get("applied", 0)) if isinstance(mark, dict) else 0
-            lag = max(0, tip - applied)
-            per_vehicle[key] = {"tip": tip, "applied": applied, "lag": lag}
-            total_lag += lag
-            max_lag_seen = max(max_lag_seen, lag)
-            lagging += 1 if lag else 0
+            shipped = _shipped(marks, key)
+            for vehicle, info in summary.items():
+                applied = int(shipped.get(vehicle, 0))
+                lag = max(0, info["tip"] - applied)
+                per_vehicle[vehicle] = {
+                    "tip": info["tip"],
+                    "applied": applied,
+                    "lag": lag,
+                }
+        lags = [info["lag"] for info in per_vehicle.values()]
         return {
             "replica": str(self.replica_dir),
             "max_lag_bound": self.max_lag,
-            "max_lag_events": max_lag_seen,
-            "total_lag_events": total_lag,
-            "vehicles_lagging": lagging,
+            "max_lag_events": max(lags, default=0),
+            "total_lag_events": sum(lags),
+            "vehicles_lagging": sum(1 for lag in lags if lag),
             "vehicles": per_vehicle,
-            "within_bound": (not corrupt) and max_lag_seen <= self.max_lag,
+            "within_bound": (not corrupt) and max(lags, default=0) <= self.max_lag,
             "watermarks_corrupt": corrupt,
         }
 
@@ -1222,9 +1069,10 @@ def sweep_state_dir(state_dir: str | Path) -> list[str]:
 
     Two families: ``*.tmp<pid>`` staging files whose writer is dead (a
     live writer's temps are left alone — it is about to rename them),
-    and delta sidecars whose base snapshot is gone or has moved past
-    their ``base_seq`` (loads already ignore them; this reclaims the
-    bytes).  Returns the removed paths relative to ``state_dir``.
+    and delta logs that extend no base on disk — the base is gone, or
+    no line names its generation (loads already ignore them; this
+    reclaims the bytes).  Returns the removed paths relative to
+    ``state_dir``.
     """
     state_dir = Path(state_dir)
     removed: list[str] = []
@@ -1239,31 +1087,23 @@ def sweep_state_dir(state_dir: str | Path) -> list[str]:
         except FileNotFoundError:
             continue
         removed.append(str(path.relative_to(state_dir)))
-    for delta_path in sorted(state_dir.rglob(DELTA_NAME)):
-        if not delta_path.is_file():
+    for _key, root in service_roots(state_dir):
+        delta_path, base_path = root / DELTA_NAME, root / SNAPSHOT_NAME
+        if not delta_path.is_file() or not delta_path.stat().st_size:
             continue
-        base = delta_path.with_name(SNAPSHOT_NAME)
-        drop = False
-        if not base.exists():
-            drop = True
-        else:
-            payload = _unframe(delta_path.read_text().strip())
-            if payload is None or "base_seq" not in payload:
-                drop = True
-            else:
-                base_payload = _unframe(base.read_text().strip())
-                if (
-                    base_payload is not None
-                    and "seq" in base_payload
-                    and int(payload["base_seq"]) != int(base_payload["seq"])
-                ):
-                    drop = True
-                # A corrupt *base* is the doctor's problem, not sweepable
-                # debris — removing the delta there would destroy evidence.
-        if drop:
-            try:
-                delta_path.unlink()
-            except FileNotFoundError:
+        if base_path.exists():
+            generation = base_generation(base_path.read_text())
+            lines = delta_path.read_text().splitlines()
+            if generation == 0 or any(
+                (_unframe(line) or {}).get("generation") == generation
+                for line in lines
+            ):
+                # A corrupt base is the doctor's problem, not sweepable
+                # debris; a current line makes the log live.
                 continue
-            removed.append(str(delta_path.relative_to(state_dir)))
+        try:
+            delta_path.unlink()
+        except FileNotFoundError:
+            continue
+        removed.append(str(delta_path.relative_to(state_dir)))
     return removed

@@ -10,11 +10,14 @@ Durability
 Every applied event is appended to a CRC-framed write-ahead log
 *before* it mutates the session, and the full session state (estimator
 accumulators, RNG stream, drift detectors, health machine, cost
-counters) is periodically compacted into an atomic snapshot.  Recovery
-loads the snapshot and replays the WAL tail through the *same* apply
-path, so a SIGKILL at any instant restores the session bit-identically
-— pinned by the soak harness (:mod:`repro.service.soak`) and the
-Hypothesis round-trip property in the tests.
+counters) is periodically compacted into a snapshot.  The log and the
+snapshot store belong to the session's :class:`SessionRoot` — one per
+service root, shared by every vehicle in it, so a new vehicle costs a
+dict insert: its initial state is a pure function of config and id.
+Recovery loads the snapshot and replays the WAL tail through the *same*
+apply path, so a SIGKILL at any instant restores every session
+bit-identically — pinned by the soak harness (:mod:`repro.service.soak`)
+and the Hypothesis round-trip properties in the tests.
 
 When the *disk itself* fails (``ENOSPC``, ``EIO``, read-only FS) the
 session enters **DURABILITY_SUSPENDED** instead of dying: decisions
@@ -85,7 +88,13 @@ from ..validation import PolicyEnforcer
 from .drift import DriftDetector
 from .wal import SNAPSHOT_NAME, WAL_NAME, SnapshotStore, WriteAheadLog
 
-__all__ = ["HealthState", "SessionConfig", "AdvisorSession", "vehicle_seed"]
+__all__ = [
+    "HealthState",
+    "SessionConfig",
+    "AdvisorSession",
+    "SessionRoot",
+    "vehicle_seed",
+]
 
 #: Snapshot schema version; bump on incompatible state layout changes.
 STATE_VERSION = 1
@@ -94,13 +103,6 @@ STATE_VERSION = 1
 #: identical in both places: an uncapped live list would diverge from a
 #: capped restored one and break bit-identical recovery.
 TRANSITION_HISTORY = 64
-
-#: Appended-event budget before a delta compaction re-bases onto a full
-#: snapshot.  Deltas grow linearly with distance from their base (every
-#: applied event appends an id + a stop), so without a cap the snapshot
-#: stream's bytes-per-event degrades over a long run; re-basing every
-#: ~1k events keeps it O(1) while deltas stay ~4x smaller than fulls.
-_DELTA_REBASE = 1024
 
 
 class HealthState(str, Enum):
@@ -206,24 +208,26 @@ class AdvisorSession:
     config:
         :class:`SessionConfig`.
     state_dir:
-        Directory for this session's WAL + snapshot.  ``None`` runs the
-        session in memory only (tests, ephemeral evaluation).
+        Directory of a one-vehicle service root (WAL + snapshot) that
+        the session owns and recovers from.  ``None`` (and no ``root``)
+        runs the session in memory only (tests, ephemeral evaluation).
     policy / report / quarantine_writer / enforcer:
         Validation plumbing.  Pass ``enforcer`` to share one
         :class:`~repro.validation.PolicyEnforcer` across sessions (the
         multi-vehicle service does); otherwise one is built from
         ``policy``/``report``.
     fsync:
-        Fsync WAL appends and snapshots (power-loss durability; a plain
-        process kill is already covered by flush).
-    recover:
-        Restore durable state found in ``state_dir`` (default).  False
-        starts fresh even over existing state (the soak harness's
-        "uninterrupted" reference runs do this into clean directories).
+        Fsync the ``state_dir`` root's WAL appends and snapshots
+        (power-loss durability; a plain process kill is already covered
+        by flush).
     fs:
-        Optional fault-injection shim forwarded to the WAL and snapshot
-        store (:class:`repro.engine.faults.FsFaultInjector`) — how the
-        ``DURABILITY_SUSPENDED`` path is tested deterministically.
+        Optional fault-injection shim for the ``state_dir`` root's WAL
+        and snapshot store (:class:`repro.engine.faults.FsFaultInjector`)
+        — how the ``DURABILITY_SUSPENDED`` path is tested
+        deterministically.
+    root:
+        The :class:`SessionRoot` of a multi-vehicle service, which
+        builds, recovers and compacts its sessions itself.
     """
 
     def __init__(
@@ -236,8 +240,8 @@ class AdvisorSession:
         report=None,
         enforcer: PolicyEnforcer | None = None,
         fsync: bool = False,
-        recover: bool = True,
         fs=None,
+        root: SessionRoot | None = None,
     ) -> None:
         self.vehicle_id = str(vehicle_id)
         self.config = config
@@ -252,31 +256,29 @@ class AdvisorSession:
             else Deterministic(config.break_even)
         )
         self._controller = StopStartController(self._fallback)
-        self._wal: WriteAheadLog | None = None
-        self._snapshots: SnapshotStore | None = None
         if state_dir is not None:
-            directory = Path(state_dir)
-            # Canonical names from wal.py: the replication layer and the
-            # state-dir doctor address session state by exactly these.
-            self._wal = WriteAheadLog(directory / WAL_NAME, fsync=fsync, fs=fs)
-            self._snapshots = SnapshotStore(
-                directory / SNAPSHOT_NAME, fsync=fsync, fs=fs
-            )
+            root = SessionRoot(state_dir, config, fsync=fsync, fs=fs)
+            root.sessions[self.vehicle_id] = self
+        self._root = root
+        self._wal = None if root is None else root.wal
+        self._snapshots = None if root is None else root.snapshots
         self._init_fresh_state()
-        if recover and self._snapshots is not None:
-            self._recover()
+        if state_dir is not None:
+            root.recover(self._only_self)
+
+    def _only_self(self, vehicle_id: str) -> AdvisorSession:
+        raise InvalidParameterError(
+            f"{self._wal.path.parent} also holds vehicle {vehicle_id!r}: a "
+            f"session's own state dir holds only {self.vehicle_id!r}; open a "
+            "multi-vehicle root with AdvisorService"
+        )
 
     def _init_fresh_state(self) -> None:
         config = self.config
         self._replaying = False
-        # Delta-compaction bookkeeping (volatile; never serialized): the
-        # (applied, transition-count) coordinates of the last FULL
-        # snapshot, against which delta snapshots slice their appends.
-        self._delta_base: dict | None = None
-        self._transitions_seen = 0
         #: True while memory holds state the durable snapshot lacks;
-        #: cleared by a successful compaction (volatile, like the
-        #: delta bookkeeping), so ``close()`` skips clean sessions.
+        #: cleared by a successful compaction (volatile), so compaction
+        #: writes and ``close()`` touches only changed sessions.
         self.dirty = True
         self.applied = 0
         self.total_cost = 0.0
@@ -380,11 +382,12 @@ class AdvisorSession:
             "seq": self.applied + 1,
             "id": event_id,
             "t": timestamp,
+            "v": self.vehicle_id,
             "y": float(stop_length),
         }
-        if self._wal is not None:
+        if self._root is not None:
             try:
-                self._wal.append(record)
+                self._root.append([record])
             except OSError as exc:
                 # The append failed, so the event is NOT durable and the
                 # WAL-before-apply invariant forbids applying it; park
@@ -393,7 +396,7 @@ class AdvisorSession:
                 self._suspend(exc, "wal-append")
                 return self._submit_suspended(event_id, timestamp, stop_length)
         decision = self._apply(record)
-        if self._snapshots is not None and self.applied % self.config.snapshot_every == 0:
+        if self._root is not None and self._root.compaction_due:
             self.compact()
         return decision
 
@@ -631,9 +634,8 @@ class AdvisorSession:
         back to the scalar :meth:`submit` — enforcer flags, strict-mode
         raises, and streak bookkeeping all behave exactly as today.
 
-        Compaction is amortized: instead of snapshotting at every
-        ``snapshot_every`` boundary inside the batch, one (delta)
-        snapshot is published after the batch if a boundary was crossed.
+        Compaction is amortized: the root's compaction point is checked
+        once, after the batch.
         """
         ids = [str(event_id) for event_id in event_ids]
         ts = np.asarray(timestamps, dtype=float)
@@ -653,7 +655,6 @@ class AdvisorSession:
         # canonical JSON rejects NaN/inf, and a non-finite clock must
         # fail on exactly the event that carries it, not abort the run.
         clean = np.isfinite(ys) & (ys >= 0.0) & np.isfinite(ts)
-        entry_applied = self.applied
         index = 0
         n = len(ids)
         while index < n:
@@ -676,12 +677,8 @@ class AdvisorSession:
                 continue
             self._commit_run(ids, ts, ys, index, run, results)
             index += run
-        snapshot_every = self.config.snapshot_every
-        if (
-            self._snapshots is not None
-            and self.applied // snapshot_every != entry_applied // snapshot_every
-        ):
-            self.compact(delta=True)
+        if self._root is not None and self._root.compaction_due:
+            self.compact()
         return results
 
     def _admit_run(self, ids: list, ts, clean, start: int) -> int:
@@ -727,13 +724,14 @@ class AdvisorSession:
                 "seq": seq + j + 1,
                 "id": ids[start + j],
                 "t": float(ts[start + j]),
+                "v": self.vehicle_id,
                 "y": float(ys[start + j]),
             }
             for j in range(k)
         ]
-        if self._wal is not None:
+        if self._root is not None:
             try:
-                self._wal.append_many(frames)
+                self._root.append(frames)
             except OSError as exc:
                 # None of the run is durable (append_many is all-or-
                 # nothing from this process's view), so none of it may
@@ -1071,7 +1069,6 @@ class AdvisorSession:
         self.clean_streak = 0
         self.drift.reset()
         self.transitions.append(record)
-        self._transitions_seen += 1
         if to is HealthState.DEGRADED:
             self._rebuild_estimator(
                 self.config.degraded_decay, self.config.degraded_window
@@ -1167,131 +1164,22 @@ class AdvisorSession:
         self.rng.bit_generator.state = state["rng"]
         self.drift = DriftDetector.from_state(state["drift"])
 
-    def _recover(self) -> None:
-        """Snapshot + WAL-tail replay (see the module docstring).
+    def compact(self) -> None:
+        """Compact the session's root: publish the state of every session
+        changed since the root's last compaction, then reset the shared
+        WAL (:meth:`SessionRoot.compact`).
 
-        After replay the state is immediately re-compacted: the durable
-        snapshot then equals the in-memory state and the WAL is empty,
-        so a second crash right after recovery costs nothing.
+        A disk fault here suspends this session's durability instead of
+        propagating: the applied state is safe in memory and the WAL
+        (whatever the disk retained of it), and the resume path
+        re-compacts once the disk heals.
         """
-        snapshot = self._snapshots.load()
-        base_seq = 0
-        if snapshot is not None:
-            base_seq, state = snapshot
-            self._load_state(state)
-        replayed = 0
-        self._replaying = True
+        if self._root is None or self.durability_suspended:
+            return  # in memory, or the disk is sick: resume re-compacts
         try:
-            for record in self._wal.replay():
-                if int(record["seq"]) <= base_seq:
-                    continue  # already folded into the snapshot (compaction crashed mid-way)
-                self._apply(record)
-                replayed += 1
-        finally:
-            self._replaying = False
-        # Compacting also when the WAL tail was torn resets the log, so
-        # the torn bytes can never merge with a later append.
-        if replayed or snapshot is None or self._wal.tail_torn:
-            self.compact()
-        else:
-            self.dirty = False  # memory is exactly the snapshot
-
-    def compact(self, *, delta: bool = False) -> None:
-        """Publish a snapshot, then atomically reset the WAL.
-
-        Ordering matters: the snapshot lands first, so a crash between
-        the two steps leaves WAL records whose ``seq`` the snapshot
-        already covers — replay skips them by the seq filter.
-
-        ``delta=True`` (the batched path) publishes a delta overlay
-        against the last full snapshot when one exists and the overlay
-        would actually be smaller — the scalar fields plus only the
-        items appended to the bounded histories since the full base.
-        Falls back to a full snapshot otherwise.
-
-        A disk fault here suspends durability instead of propagating:
-        the applied state is safe in memory and the WAL (whatever the
-        disk retained of it), and the resume path re-compacts once the
-        disk heals.
-        """
-        if self._snapshots is None:
-            return
-        if self.durability_suspended:
-            return  # pointless while the disk is sick; resume re-compacts
-        try:
-            if not (delta and self._try_delta_compact()):
-                self._snapshots.save(self.applied, self.to_state())
-                self._delta_base = {
-                    "applied": self.applied,
-                    "transitions": self._transitions_seen,
-                }
-            self._wal.reset()
+            self._root.compact()
         except OSError as exc:
             self._suspend(exc, "compact")
-        else:
-            self.dirty = False
-
-    def _try_delta_compact(self) -> bool:
-        """Publish a delta snapshot if profitable; False to go full.
-
-        Correct because every applied event appends exactly one entry to
-        ``recent_stops`` and ``recent_ids``: the items appended since
-        the full base are the last ``applied - base_applied`` of each
-        (capped by the deque bound — the restore path re-trims), and
-        transitions are counted by the monotone ``_transitions_seen``.
-
-        Profitability is bounded: a delta's bulk is the appended id/stop
-        history, which grows linearly with distance from the full base,
-        so past ``_DELTA_REBASE`` appended events (or the dedup window,
-        whichever is smaller) a full snapshot re-bases instead — the
-        amortized bytes-per-event of the snapshot stream stays O(1).
-        """
-        base = self._delta_base
-        if base is None:
-            return False
-        appended = self.applied - base["applied"]
-        if appended <= 0 or appended >= min(
-            self.config.dedup_window, _DELTA_REBASE
-        ):
-            return False
-        changed = self._delta_changed_fields()
-        new_transitions = self._transitions_seen - base["transitions"]
-        appended_lists = {
-            "recent_stops": list(self._recent_stops)[
-                -min(appended, self.config.recent_window):
-            ],
-            "recent_ids": list(self._recent_ids)[
-                -min(appended, self.config.dedup_window):
-            ],
-            "transitions": (
-                list(self.transitions)[-min(new_transitions, TRANSITION_HISTORY):]
-                if new_transitions > 0
-                else []
-            ),
-        }
-        self._snapshots.save_delta(
-            self.applied, base["applied"], changed, appended_lists
-        )
-        return True
-
-    def _delta_changed_fields(self) -> dict:
-        """The scalar state a delta snapshot replaces wholesale (the
-        appended histories travel separately).  Subclasses that
-        serialize extra state extend this dict, so delta compaction
-        never silently drops their fields."""
-        return {
-            "applied": self.applied,
-            "total_cost": self.total_cost,
-            "health": self.health.value,
-            "clean_streak": self.clean_streak,
-            "bad_streak": self.bad_streak,
-            "duplicates": self.duplicates,
-            "rejected": self.rejected,
-            "last_timestamp": self.last_timestamp,
-            "estimator": self.estimator.to_state(),
-            "rng": self.rng.bit_generator.state,
-            "drift": self.drift.to_state(),
-        }
 
     # -- observability ----------------------------------------------------
 
@@ -1331,3 +1219,121 @@ class AdvisorSession:
             "durability": self.durability_status(),
             "digest": self.state_digest(),
         }
+
+
+class SessionRoot:
+    """The durable state of one service root, shared by its sessions.
+
+    A service root — a one-shard tier's state dir, each ``shard-NN/``
+    of a wider tier, or a standalone session's directory — keeps one
+    :class:`~repro.service.wal.WriteAheadLog`, whose frames carry the
+    vehicle id next to the session's own ``seq``, and one
+    :class:`~repro.service.wal.SnapshotStore`.  The file set is the same
+    whatever the number of vehicles.  The root compacts each time the
+    events it has appended cross a multiple of ``snapshot_every`` times
+    its vehicle count, so the log holds about ``snapshot_every`` frames
+    per vehicle.
+    """
+
+    def __init__(
+        self, directory: str | Path, config: SessionConfig, *, fsync=False, fs=None
+    ) -> None:
+        directory = Path(directory)
+        for name in ("vehicles", "vehicles.idx"):
+            if (directory / name).exists():
+                raise InvalidParameterError(
+                    f"{directory / name} belongs to the older per-vehicle state "
+                    "layout, which this version does not read: serve that state "
+                    "dir with the version that wrote it"
+                )
+        self.wal = WriteAheadLog(directory / WAL_NAME, fsync=fsync, fs=fs)
+        self.snapshots = SnapshotStore(directory / SNAPSHOT_NAME, fsync=fsync, fs=fs)
+        self.snapshot_every = config.snapshot_every
+        #: vehicle id -> session: every vehicle the root holds.
+        self.sessions: dict[str, AdvisorSession] = {}
+        #: Events appended, counted from the sessions' ``applied`` at
+        #: recovery, and the count at the last compaction: a one-vehicle
+        #: root thus compacts at each multiple of ``snapshot_every`` its
+        #: session's applied count crosses.
+        self.appended = 0
+        self._compacted_at = 0
+
+    def recover(self, build) -> None:
+        """Rebuild every session of the root from one read of its
+        snapshot and one pass over its WAL.
+
+        ``build(vehicle_id)`` makes a fresh session; a vehicle found only
+        in the log replays from its initial state.  Frames at or below a
+        session's compacted ``seq`` were folded into the snapshot by a
+        compaction that died before its WAL reset, and are skipped.
+        After a replay (or a torn tail) the root compacts at once: the
+        snapshot then equals memory and the torn bytes can never merge
+        with a later append.  If that compaction fails, nothing is lost
+        — the WAL still holds every event — and the next one retries.
+        """
+        for vehicle_id, state in self.snapshots.load().items():
+            session = self._session(vehicle_id, build)
+            session._load_state(state)
+            session.dirty = False
+        replayed = 0
+        for record in self.wal.replay():
+            session = self._session(record["v"], build)
+            if record["seq"] <= session.applied:
+                continue
+            session._replaying = True
+            try:
+                session._apply(record)
+            finally:
+                session._replaying = False
+            session.dirty = True
+            replayed += 1
+        self.appended = self._compacted_at = sum(
+            session.applied for session in self.sessions.values()
+        )
+        if replayed or self.wal.tail_torn:
+            try:
+                self.compact()
+            except OSError:
+                pass
+
+    def _session(self, vehicle_id: str, build) -> AdvisorSession:
+        session = self.sessions.get(vehicle_id)
+        if session is None:
+            session = self.sessions[vehicle_id] = build(vehicle_id)
+        return session
+
+    def append(self, records: list[dict]) -> None:
+        """Group-commit one session's run of frames to the shared WAL."""
+        self.wal.append_many(records)
+        self.appended += len(records)
+
+    @property
+    def compaction_due(self) -> bool:
+        every = self.snapshot_every * len(self.sessions)
+        return self.appended // every > self._compacted_at // every
+
+    def compact(self) -> None:
+        """Publish the states of the sessions changed since the last
+        compaction, then reset the WAL.
+
+        The states are appended to the snapshot's delta log, or — once
+        the delta would hold as many states as the root has sessions —
+        published with every other session's as a new base, so the bytes
+        a compaction writes follow the vehicles it changed.  Publishing
+        before the reset makes a crash between the two harmless: replay
+        skips the frames the published states cover.  A disk fault
+        raises ``OSError`` and leaves every changed session dirty.
+        """
+        changed = [session for session in self.sessions.values() if session.dirty]
+        if changed:
+            snapshots = self.snapshots
+            if snapshots.delta_states + len(changed) >= len(self.sessions):
+                snapshots.save(
+                    {vehicle: s.to_state() for vehicle, s in self.sessions.items()}
+                )
+            else:
+                snapshots.save_delta({s.vehicle_id: s.to_state() for s in changed})
+        self.wal.reset()
+        self._compacted_at = self.appended
+        for session in changed:
+            session.dirty = False

@@ -67,7 +67,7 @@ from pathlib import Path
 
 from ..engine.ledger import RunLedger, active_ledger, use_ledger
 from ..errors import InvalidParameterError, ReproError
-from .advisor import AdvisorService, RegisteredAdvisorService, gate_on_replication
+from .advisor import AdvisorService, gate_on_replication
 from .batch import identifiable_vehicle
 
 __all__ = [
@@ -370,12 +370,7 @@ def _shard_worker(
     service = None
     error = None
     try:
-        service = RegisteredAdvisorService(
-            Path(state_dir),
-            config,
-            policy=policy,
-            fsync=fsync,
-        )
+        service = AdvisorService(Path(state_dir), config, policy=policy, fsync=fsync)
         if ledger is not None:
             with use_ledger(ledger):
                 _worker_loop(
@@ -411,9 +406,9 @@ class ShardedAdvisorService:
     ----------
     state_dir:
         Root directory.  A one-shard tier keeps its state in
-        ``state_dir`` itself (``vehicles/`` directly under it — the
-        plain ``serve`` layout); with N >= 2 shards, shard ``i`` owns
-        ``state_dir/shard-NN``.
+        ``state_dir`` itself (its WAL and snapshot directly under it —
+        the plain ``serve`` layout); with N >= 2 shards, shard ``i``
+        owns ``state_dir/shard-NN``.
     config:
         Shared :class:`~repro.service.session.SessionConfig`.
     shards:
@@ -477,7 +472,6 @@ class ShardedAdvisorService:
         replicas: int = 64,
         workers: bool = True,
         ledger_path: str | Path | None = None,
-        recover: bool = True,
         hang_timeout: float | None = 30.0,
         restart_budget: int = 8,
         poison_budget: int = 3,
@@ -511,7 +505,6 @@ class ShardedAdvisorService:
         self.config = config
         self.policy = policy
         self.fsync = bool(fsync)
-        self.recover = bool(recover)
         self.shards = int(shards)
         self.queue_depth = max(1, int(queue_depth))
         self.ring = HashRing(self.shards, replicas)
@@ -543,11 +536,7 @@ class ShardedAdvisorService:
         if not self.worker_mode:
             self._inline = [
                 AdvisorService(
-                    self._shard_dir(index),
-                    config,
-                    policy=policy,
-                    fsync=fsync,
-                    recover=recover,
+                    self._shard_dir(index), config, policy=policy, fsync=fsync
                 )
                 for index in range(self.shards)
             ]
@@ -769,38 +758,9 @@ class ShardedAdvisorService:
             self._chunk_counter += 1
             chunk_id = self._chunk_counter
         command = ("chunk", chunk_id, sub_lines, want_decisions)
-        while True:
-            # The per-shard lock serializes this put against the
-            # collector's queue swap on worker death: a chunk either
-            # lands in the pre-swap queue *and* is recorded in flight
-            # (so the swap redelivers it) or lands in the fresh queue.
-            with self._shard_locks[shard]:
-                try:
-                    self._commands[shard].put(command, timeout=0.2)
-                except queue_module.Full:
-                    full = True
-                else:
-                    full = False
-                    with self._lock:
-                        if shard in self.breaker_open:
-                            # The breaker opened between the top check
-                            # and the put: the put landed in a dead
-                            # worker's queue.  Recording it in flight
-                            # would strand the caller forever (the
-                            # breaker sweep already ran), so shed it.
-                            return _BREAKER
-                        self._in_flight[shard][chunk_id] = (
-                            command,
-                            submit_t,
-                            len(sub_lines),
-                        )
-                        self.dispatched_events += len(sub_lines)
-            if not full:
-                return chunk_id
-            with self._lock:
-                self._raise_errors_locked()
-                if shard in self.breaker_open:
-                    return _BREAKER
+        if not self._put(shard, command, (chunk_id, submit_t, len(sub_lines))):
+            return _BREAKER
+        return chunk_id
 
     @property
     def breaker_shed(self) -> int:
@@ -836,7 +796,7 @@ class ShardedAdvisorService:
             command = (name, request_id, *args)
             with self._lock:
                 self._pending_controls[request_id] = (shard, command)
-            self._put_command(shard, command)
+            self._put(shard, command)
             request_ids.append(request_id)
         deadline = None if timeout is None else time.monotonic() + timeout
         results = []
@@ -850,22 +810,51 @@ class ShardedAdvisorService:
                 results.append(self._replies.pop(request_id))
         return results
 
-    def _put_command(self, shard: int, command) -> None:
-        """Blocking put that survives a queue swap mid-wait."""
+    def _put(self, shard: int, command, chunk=None) -> bool:
+        """Queue ``command`` for ``shard``, waiting out a full queue;
+        False when the shard's breaker is open.
+
+        ``chunk`` — ``(chunk_id, submit_t, events)`` — records the put
+        in flight, under the per-shard lock that serializes it against
+        the collector's queue swap on worker death: a chunk either lands
+        in the pre-swap queue *and* is recorded in flight (so the swap
+        redelivers it) or lands in the fresh queue.  The put never
+        blocks while holding that lock.  A dead worker's queue can be
+        full, and ``_respawn`` needs the lock to swap it; while it
+        waits, the collector reads no shard's acks and detects no hang.
+        So a full queue is waited out with the lock released.
+        """
         while True:
             with self._shard_locks[shard]:
                 with self._lock:
                     if shard in self.breaker_open:
                         # The breaker sweep already answered (or shed)
                         # everything this shard owed; the put is moot.
-                        return
+                        return False
                 try:
-                    self._commands[shard].put(command, timeout=0.2)
-                    return
+                    self._commands[shard].put_nowait(command)
                 except queue_module.Full:
                     pass
-            with self._lock:
+                else:
+                    if chunk is not None:
+                        with self._lock:
+                            if shard in self.breaker_open:
+                                # The breaker opened between the check
+                                # and the put: the put landed in a dead
+                                # worker's queue, and the breaker sweep
+                                # already ran, so shed it.
+                                return False
+                            chunk_id, submit_t, events = chunk
+                            self._in_flight[shard][chunk_id] = (
+                                command,
+                                submit_t,
+                                events,
+                            )
+                            self.dispatched_events += events
+                    return True
+            with self._wake:
                 self._raise_errors_locked()
+                self._wake.wait(0.05)
 
     def _raise_errors_locked(self) -> None:
         if self._errors:
@@ -1530,7 +1519,7 @@ class ShardedAdvisorService:
         if not already_failed:
             for shard in range(self.shards):
                 try:
-                    self._put_command(shard, ("stop",))
+                    self._put(shard, ("stop",))
                 except ReproError:
                     break
             deadline = time.monotonic() + timeout

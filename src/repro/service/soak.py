@@ -11,8 +11,8 @@ cells, each a :class:`Cell` on three axes:
   (SIGKILL a primary while a standby ships its WAL);
 * the **tier** — ``single`` (one :class:`AdvisorService` process),
   ``sharded`` (a :class:`~repro.service.shard.ShardedAdvisorService`
-  fleet of worker processes) or ``standby`` (a registered primary plus
-  the standby it ships to);
+  fleet of worker processes) or ``standby`` (a primary plus the
+  standby it ships to);
 * the **batch** — events per ``process_batch`` chunk on the single and
   standby tiers (1 = the scalar loop), events per routed chunk on the
   sharded tier.
@@ -58,7 +58,7 @@ from ..engine.ledger import RunLedger, use_ledger
 from ..errors import InvalidParameterError
 from ..fleet import area_config
 from ..fleet.generator import FleetGenerator
-from .advisor import AdvisorService, RegisteredAdvisorService
+from .advisor import AdvisorService
 from .session import SessionConfig
 
 __all__ = [
@@ -304,7 +304,6 @@ def run_stream(
     ledger_path: str | Path | None = None,
     batch: int = 1,
     fs=None,
-    register: bool = False,
 ) -> SoakResult:
     """Serve ``events`` into ``state_dir`` (recovering any prior state).
 
@@ -315,16 +314,11 @@ def run_stream(
     consulted per event index, before the chunk applies.  ``fs`` is an
     optional :class:`repro.engine.faults.FsFaultInjector` threaded into
     the service's WAL/snapshot writers — the disk-fault hook.
-    ``register=True`` serves through a
-    :class:`~repro.service.advisor.RegisteredAdvisorService` so the
-    state dir carries a vehicle registry — required for a state dir that
-    a standby may later have to promote without redelivery.
     """
     ledger = (
         RunLedger(ledger_path, append=True) if ledger_path is not None else None
     )
-    service_cls = RegisteredAdvisorService if register else AdvisorService
-    service = service_cls(Path(state_dir), config, fs=fs)
+    service = AdvisorService(Path(state_dir), config, fs=fs)
     if ledger is not None:
         with use_ledger(ledger):
             _serve(service, events, injector, batch)
@@ -403,8 +397,7 @@ def _serve_child(cell, events, state_dir, config, injector, ledger_path, out_pat
     The child holds the state dir's ``shard.lock`` like a real primary,
     so a later ``promote --fence`` meets the lock a SIGKILL leaves
     behind and must recognize its owner as dead.  A standby-tier primary
-    serves registered (promotable) and paced, so the parent's shipping
-    loop streams mid-run.
+    serves paced, so the parent's shipping loop streams mid-run.
     """
     from .shard import acquire_shard_lock, release_shard_lock
 
@@ -424,7 +417,6 @@ def _serve_child(cell, events, state_dir, config, injector, ledger_path, out_pat
             injector=strike,
             ledger_path=ledger_path,
             batch=cell.batch,
-            register=standby,
         )
     finally:
         release_shard_lock(lock)
@@ -485,10 +477,10 @@ def _run_sharded(cell, at, events, config, out_dir):
     """Route the stream in ``cell.batch``-event chunks through a sharded
     fleet; at each scheduled chunk, strike before submitting it.
 
-    * ``kill``: SIGKILL a live worker (round-robin over shards) while the
-      rest of the fleet keeps serving; the parent respawns it, it
-      recovers its shard from WAL + snapshots, and the unacknowledged
-      chunks are redelivered.
+    * ``kill``: SIGKILL a live worker (round-robin over shards) and submit
+      the chunk before its respawn, as a real crash has traffic in
+      flight; the parent respawns it, it recovers its shard from WAL +
+      snapshots, and the unacknowledged chunks are redelivered.
     * ``hang``: SIGSTOP the worker that owns the chunk's first event and
       hand it the chunk — alive, pipe open, never acking; the supervisor
       must notice the silence, SIGKILL and respawn it.
@@ -546,8 +538,9 @@ def _run_sharded(cell, at, events, config, out_dir):
                     service.worker_pids[victim],
                     signal.SIGSTOP if cell.fault == "hang" else signal.SIGKILL,
                 )
-                if cell.fault == "hang":
-                    service.submit_lines(lines)  # the frozen owner holds it
+                # The frozen owner holds the chunk; a killed one's
+                # respawn must redeliver whatever landed in its queue.
+                service.submit_lines(lines)
                 # Wait for the respawn so consecutive faults cannot
                 # collapse into one observed death.
                 _await(
@@ -555,8 +548,6 @@ def _run_sharded(cell, at, events, config, out_dir):
                     f"shard {victim} to respawn",
                     60.0,
                 )
-                if cell.fault == "kill":
-                    service.submit_lines(lines)
             struck += 1
         service.drain(timeout=300.0)
         digests = service.digests(timeout=120.0)
@@ -616,9 +607,7 @@ def _run_standby(cell, at, events, config, out_dir):
     child.join()
 
     promote(standby_dir, config, fence=primary_dir)
-    final = run_stream(
-        events, standby_dir, config, batch=cell.batch, register=True
-    )
+    final = run_stream(events, standby_dir, config, batch=cell.batch)
     archive_dir = out_dir / "archive"
     restored_dir = out_dir / "restored"
     backup(standby_dir, archive_dir)

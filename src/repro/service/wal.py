@@ -1,27 +1,34 @@
-"""Durable per-session state: CRC-framed write-ahead log + snapshots.
+"""Durable service-root state: one CRC-framed write-ahead log and one
+snapshot store shared by every session in the root.
 
 The advisor service promises that a SIGKILL at *any* instant loses no
 applied work: restarting from the same state directory restores every
-session bit-identically.  Two files per session make that true:
+session bit-identically.  Three files per service root make that true,
+whatever the number of vehicles in it:
 
 ``wal.jsonl``
-    An append-only log of applied stop events.  Each line is framed as
-    ``<crc32-hex8> <json>`` where the CRC covers the JSON bytes, so a
-    torn tail (the process died mid-write) is *detected*, not parsed as
-    garbage: replay stops at the first bad frame.  Every append is
-    flushed (surviving a process kill); ``fsync=True`` additionally
-    syncs to disk (surviving an OS crash).
+    An append-only log of applied stop events of every vehicle.  Each
+    line is framed as ``<crc32-hex8> <json>`` where the CRC covers the
+    JSON bytes, so a torn tail (the process died mid-write) is
+    *detected*, not parsed as garbage: replay stops at the first bad
+    frame.  A frame carries its vehicle id (``v``) next to the
+    session's own ``seq``.  Every append is flushed (surviving a
+    process kill); ``fsync=True`` additionally syncs to disk
+    (surviving an OS crash).
 ``snapshot.json``
-    A periodic compaction point: the full serialized session state
-    after ``seq`` applied events, written to a temp file and atomically
-    published with ``os.replace`` — readers see either the old snapshot
-    or the new one, never a partial write.
+    The base: every session's serialized state, one framed line each
+    after a header naming the base's ``generation``, written to a temp
+    file and atomically published with ``os.replace`` — readers see
+    either the old base or the new one, never a partial write.
+``snapshot.json.delta``
+    The states compacted since the base, appended like WAL frames, so a
+    compaction writes only the sessions it changed.
 
-Recovery = load the snapshot (if any), then replay WAL records with
-``seq`` greater than the snapshot's.  The ``seq`` filter is what makes
-compaction crash-safe: the snapshot is published *before* the WAL is
-reset, so dying between the two steps merely leaves already-compacted
-records in the log, and replay skips them.
+Recovery = load the snapshot, then replay, per vehicle, the WAL records
+with ``seq`` greater than that vehicle's compacted state.  The ``seq``
+filter is what makes compaction crash-safe: states are published
+*before* the WAL is reset, so dying between the two steps merely leaves
+already-compacted records in the log, and replay skips them.
 """
 
 from __future__ import annotations
@@ -34,10 +41,16 @@ from pathlib import Path
 
 from ..errors import ReproError
 
-__all__ = ["WriteAheadLog", "SnapshotStore", "WalCorruptionError"]
+__all__ = [
+    "WriteAheadLog",
+    "SnapshotStore",
+    "WalCorruptionError",
+    "base_generation",
+    "snapshot_states",
+]
 
-#: Canonical per-session durable file names (the replication layer and
-#: state-dir doctor address sessions by these).
+#: Canonical durable file names of a service root (the replication
+#: layer and the state-dir doctor address root state by these).
 WAL_NAME = "wal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
 DELTA_NAME = SNAPSHOT_NAME + ".delta"
@@ -71,18 +84,19 @@ def _event_body(payload: dict) -> str | None:
     """Hand-rolled serializer for the hot stop-event frame shape.
 
     Byte-identical to ``json.dumps(payload, sort_keys=True)`` for a
-    plain ``{"id": str, "seq": int, "t": float, "y": float}`` record
-    (Python's ``repr`` of a finite float IS the json float form, and
-    the string field still goes through ``json.dumps`` for escaping);
-    returns None for any other shape so the general encoder handles it.
-    ``test_service_wal.py`` pins the byte identity.
+    plain ``{"id": str, "seq": int, "t": float, "v": str, "y": float}``
+    record (Python's ``repr`` of a finite float IS the json float form,
+    and the string fields still go through ``json.dumps`` for
+    escaping); returns None for any other shape so the general encoder
+    handles it.  ``test_service_wal.py`` pins the byte identity.
     """
-    if len(payload) != 4:
+    if len(payload) != 5:
         return None
     try:
         event_id = payload["id"]
         seq = payload["seq"]
         timestamp = payload["t"]
+        vehicle = payload["v"]
         stop_length = payload["y"]
     except KeyError:
         return None
@@ -90,6 +104,7 @@ def _event_body(payload: dict) -> str | None:
         type(event_id) is not str
         or type(seq) is not int
         or type(timestamp) is not float
+        or type(vehicle) is not str
         or type(stop_length) is not float
         or not math.isfinite(timestamp)
         or not math.isfinite(stop_length)
@@ -97,7 +112,7 @@ def _event_body(payload: dict) -> str | None:
         return None
     return (
         f'{{"id": {json.dumps(event_id)}, "seq": {seq}, '
-        f'"t": {timestamp!r}, "y": {stop_length!r}}}'
+        f'"t": {timestamp!r}, "v": {json.dumps(vehicle)}, "y": {stop_length!r}}}'
     )
 
 
@@ -126,8 +141,75 @@ def _unframe(line: str) -> dict | None:
     return payload if isinstance(payload, dict) else None
 
 
+def _intact(lines: list[str], path) -> tuple[list[tuple[str, dict]], bool]:
+    """``(line, record)`` for every intact frame of a log, in order, and
+    whether its final frame was torn.
+
+    The final frame may be torn by a kill mid-append and is then
+    dropped; a bad frame *followed by intact ones* means the file was
+    corrupted at rest and raises :class:`WalCorruptionError`.
+    """
+    frames = []
+    for index, line in enumerate(lines):
+        if not line:
+            continue
+        record = _unframe(line)
+        if record is None:
+            if index == len(lines) - 1:
+                return frames, True
+            raise WalCorruptionError(
+                f"{path}: bad frame at line {index + 1} "
+                f"(not the final line — corruption, not a torn tail)"
+            )
+        frames.append((line, record))
+    return frames, False
+
+
+def _read(path: Path) -> str | None:
+    return path.read_text() if path.exists() else None
+
+
+def _append(path: Path, records: list[dict], fsync: bool) -> None:
+    """Append ``records`` as frames with ONE write + flush (+ at most one
+    fsync), healing a torn tail first.
+
+    The frames are concatenated into a single buffer before the write,
+    so a kill mid-append tears the file at some byte offset of that
+    buffer: a reader then recovers exactly the complete leading frames —
+    a *prefix* of the batch, never a frame from the middle without its
+    predecessors.  (POSIX does not promise a single ``write`` is atomic,
+    but it does append sequentially; the prefix property is all
+    recovery needs, and the torn-anywhere Hypothesis property in
+    ``tests/test_service_wal.py`` pins it.)
+
+    A previous crash can leave the file without a trailing newline.
+    Appending blindly would merge the new frames into that tail, so the
+    tail is healed first: a complete frame that lost only its newline
+    gets one (the record is preserved); a partial frame is truncated
+    away (it was never durable).
+    """
+    with open(path, "a+b") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size:
+            handle.seek(size - 1)
+            if handle.read(1) != b"\n":
+                handle.seek(0)
+                data = handle.read()
+                cut = data.rfind(b"\n") + 1
+                tail = data[cut:].decode(errors="replace")
+                if _unframe(tail) is not None:
+                    handle.write(b"\n")
+                else:
+                    handle.truncate(cut)
+        buffer = "".join(_frame(record) + "\n" for record in records)
+        handle.write(buffer.encode())
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+
+
 class WriteAheadLog:
-    """Append-only CRC-framed JSONL log for one advisor session.
+    """Append-only CRC-framed JSONL log of one service root.
 
     ``fs`` is an optional fault-injection shim (``check(op, path)``)
     consulted before each physical operation; a scheduled ``OSError``
@@ -182,72 +264,24 @@ class WriteAheadLog:
     def append_many(self, records: list[dict]) -> None:
         """Group-commit: durably append a batch with ONE write + flush
         (+ at most one fsync), instead of one syscall round-trip per
-        record.
-
-        The frames are concatenated into a single buffer before the
-        write, so a kill mid-commit tears the file at some byte offset
-        of that buffer: replay then recovers exactly the complete
-        leading frames — a *prefix* of the batch, never a frame from the
-        middle without its predecessors.  (POSIX does not promise a
-        single ``write`` is atomic, but it does append sequentially;
-        the prefix property is all recovery needs, and the torn-anywhere
-        Hypothesis property in ``tests/test_service_wal.py`` pins it.)
-
-        A previous crash can leave the file without a trailing newline.
-        Appending blindly would merge the new frames into that tail, so
-        the tail is healed first: a complete frame that lost only its
-        newline gets one (the record is preserved); a partial frame is
-        truncated away (it was never durable).
+        record; a kill mid-commit leaves a prefix of the batch, and a
+        torn tail left by an earlier crash is healed first
+        (:func:`_append`).
         """
         if not records:
             return
         self._check("wal-append")
-        with open(self.path, "a+b") as handle:
-            size = handle.seek(0, os.SEEK_END)
-            if size:
-                handle.seek(size - 1)
-                if handle.read(1) != b"\n":
-                    handle.seek(0)
-                    data = handle.read()
-                    cut = data.rfind(b"\n") + 1
-                    tail = data[cut:].decode(errors="replace")
-                    if _unframe(tail) is not None:
-                        handle.write(b"\n")
-                    else:
-                        handle.truncate(cut)
-            buffer = "".join(_frame(record) + "\n" for record in records)
-            handle.write(buffer.encode())
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-                self._sync_dir_once()
+        _append(self.path, records, self.fsync)
+        if self.fsync:
+            self._sync_dir_once()
 
-    def _frames(self):
-        """Yield ``(line, record)`` for every intact frame, in order.
-
-        The final frame may be torn by a kill mid-append and is then
-        dropped (and :attr:`tail_torn` set, so recovery compacts the
-        torn bytes away); a bad frame *followed by intact ones* means
-        the file was corrupted at rest and raises
-        :class:`WalCorruptionError`.
-        """
-        self.tail_torn = False
-        if not self.path.exists():
-            return
-        lines = self.path.read_text().splitlines()
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            record = _unframe(line)
-            if record is None:
-                if index == len(lines) - 1:
-                    self.tail_torn = True
-                    return
-                raise WalCorruptionError(
-                    f"{self.path}: bad frame at line {index + 1} "
-                    f"(not the final line — corruption, not a torn tail)"
-                )
-            yield line, record
+    def _frames(self) -> list[tuple[str, dict]]:
+        """Every intact ``(line, record)``, in order (torn-tail rules:
+        :func:`_intact`).  A dropped torn tail sets :attr:`tail_torn`,
+        so recovery compacts the torn bytes away."""
+        lines = (_read(self.path) or "").splitlines()
+        frames, self.tail_torn = _intact(lines, self.path)
+        return frames
 
     def replay(self) -> list[dict]:
         """All intact records, in order (torn-tail rules: :meth:`_frames`)."""
@@ -265,19 +299,13 @@ class WriteAheadLog:
         :meth:`replay`'s: a bad *final* frame is dropped silently
         because the primary may be mid-append right now.  Records
         without an integer ``seq`` are never shipped (none are written
-        by the session today).
+        by the session today).  ``seq`` is per vehicle, so replication
+        follows from 0 and filters per vehicle itself.
         """
         for line, record in self._frames():
             seq = record.get("seq")
             if type(seq) is int and seq > from_seq:
                 yield seq, line, record
-
-    def last_seq(self) -> int:
-        """Highest intact ``seq`` in the log (0 when empty/missing)."""
-        last = 0
-        for seq, _line, _record in self.follow(0):
-            last = seq
-        return last
 
     def reset(self) -> None:
         """Atomically truncate the log (the post-snapshot compaction step).
@@ -293,21 +321,62 @@ class WriteAheadLog:
             _fsync_dir(self.path.parent)
 
 
-class SnapshotStore:
-    """Atomic snapshot of one session's full state, plus delta overlays.
+def _base_states(text: str | None, path) -> tuple[int, dict]:
+    """``(generation, vehicle -> state)`` of a base snapshot's text;
+    ``(0, {})`` when there is none.  Publication is atomic, so any bad
+    line — unlike the WAL tail — is at-rest corruption and raises."""
+    if text is None:
+        return 0, {}
+    records = [_unframe(line) for line in text.splitlines()]
+    header = records[0] if records else None
+    if header is None or None in records or header.get("sessions") != len(records) - 1:
+        raise WalCorruptionError(f"{path}: snapshot failed its CRC check")
+    return int(header["generation"]), {
+        record["vehicle"]: record["state"] for record in records[1:]
+    }
 
-    A full snapshot (``snapshot.json``) is the complete serialized
-    state.  Between full snapshots a compaction may instead publish a
-    **delta** sidecar (``snapshot.json.delta``): the scalar fields that
-    changed plus the items *appended* to the bounded history lists since
-    the full base — typically 10-50x smaller than a full snapshot whose
-    bulk is the dedup window.  Both files are published atomically, and
-    the delta names the full snapshot it extends (``base_seq``): a delta
-    left behind by a crash whose base has since moved is stale and
-    ignored, never half-applied.  Base seqs cannot collide: a delta at
-    ``seq`` proves the session durably reached ``seq``, and applied
-    counts never move backwards, so no later full snapshot can reuse the
-    delta's smaller ``base_seq``.
+
+def base_generation(text: str | None) -> int:
+    """The generation a base snapshot's text names in its header line
+    (0 when absent; 0 too when unreadable, which :func:`snapshot_states`
+    reports as corruption)."""
+    header = _unframe(text.split("\n", 1)[0]) if text else None
+    return int(header.get("generation", 0)) if header else 0
+
+
+def snapshot_states(
+    base_text: str | None, delta_text: str | None, path: Path
+) -> tuple[int, dict, int]:
+    """``(generation, vehicle -> state, delta states applied)`` of a
+    snapshot's base and delta texts: the base overlaid, in order, by the
+    delta lines of its generation.  Lines of an older generation are
+    left over from a crash between a new base and the emptying of the
+    delta it superseded, and are ignored."""
+    generation, states = _base_states(base_text, path)
+    delta, _torn = _intact(
+        (delta_text or "").splitlines(), path.with_name(DELTA_NAME)
+    )
+    applied = 0
+    for _line, record in delta:
+        if record.get("generation") == generation:
+            states[record["vehicle"]] = record["state"]
+            applied += 1
+    return generation, states, applied
+
+
+class SnapshotStore:
+    """The compacted session states of one service root.
+
+    A full **base** (``snapshot.json``) holds every session's state; a
+    compaction that changed only some sessions instead appends their
+    states to the **delta** log (``snapshot.json.delta``), so its bytes
+    grow with the sessions it changed, not with the root.  The owner
+    rebases (:meth:`save`) once the delta holds as many states as the
+    root has sessions, which keeps a rebase's cost within the states
+    written since the previous one and a load within twice the base.
+    Every delta line names the generation of its base, and each base
+    raises the generation by one, so a delta a crash left behind a newer
+    base is recognizably stale (see :func:`snapshot_states`).
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = False, fs=None) -> None:
@@ -315,97 +384,61 @@ class SnapshotStore:
         self.delta_path = self.path.with_name(self.path.name + ".delta")
         self.fsync = bool(fsync)
         self.fs = fs
+        #: Generation of the base last loaded or published.
+        self.generation = 0
+        #: States appended to the delta log since that base.
+        self.delta_states = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    def _publish(self, path: Path, body: str) -> None:
+    def save(self, states: dict) -> None:
+        """Publish ``states`` (vehicle -> state, every session of the
+        root) as a new base, then empty the delta log it supersedes
+        (kept as an empty file, so a root's file set does not depend on
+        which kind of compaction came last)."""
+        generation = self.generation + 1
+        records = [{"generation": generation, "sessions": len(states)}]
+        records += [
+            {"state": state, "vehicle": vehicle} for vehicle, state in states.items()
+        ]
         if self.fs is not None:
-            self.fs.check("snapshot-publish", path)
-        payload = f"{zlib.crc32(body.encode()):08x} {body}"
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+            self.fs.check("snapshot-publish", self.path)
+        tmp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
         with open(tmp, "w") as handle:
-            handle.write(payload)
+            handle.write("".join(_frame(record) + "\n" for record in records))
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp, self.path)
         # The rename itself lives in the directory: without a directory
         # fsync an OS crash can revert the publish even though the new
-        # snapshot's bytes are safely on disk.
+        # base's bytes are safely on disk.
         if self.fsync:
-            _fsync_dir(path.parent)
+            _fsync_dir(self.path.parent)
+        self.generation = generation
+        self.delta_states = 0
+        # In place: until emptied, the old lines are stale and ignored.
+        open(self.delta_path, "w").close()
 
-    def save(self, seq: int, state: dict) -> None:
-        """Publish ``state`` as the full snapshot after ``seq`` events.
+    def save_delta(self, states: dict) -> None:
+        """Append ``states`` (vehicle -> state, the sessions a compaction
+        changed) to the delta log of the current base: one group commit,
+        torn-tail safe like the WAL (:func:`_append`)."""
+        if self.fs is not None:
+            self.fs.check("snapshot-publish", self.delta_path)
+        records = [
+            {"generation": self.generation, "state": state, "vehicle": vehicle}
+            for vehicle, state in states.items()
+        ]
+        _append(self.delta_path, records, self.fsync)
+        if self.fsync:
+            _fsync_dir(self.path.parent)  # the log may have just been created
+        self.delta_states += len(states)
 
-        Any delta sidecar is deleted afterwards: it extended the
-        *previous* full snapshot.  A crash between the two steps leaves
-        a stale delta whose ``base_seq`` no longer matches — ignored on
-        load and cleaned up by the next full save.
-        """
-        body = json.dumps(
-            {"seq": int(seq), "state": state}, sort_keys=True, allow_nan=False
+    def load(self) -> dict:
+        """vehicle -> latest compacted state (empty when nothing was
+        compacted yet); also resets :attr:`generation` and
+        :attr:`delta_states` to what is on disk."""
+        self.generation, states, self.delta_states = snapshot_states(
+            _read(self.path), _read(self.delta_path), self.path
         )
-        self._publish(self.path, body)
-        try:
-            os.unlink(self.delta_path)
-        except FileNotFoundError:
-            pass
-
-    def save_delta(
-        self, seq: int, base_seq: int, changed: dict, appended: dict
-    ) -> None:
-        """Publish a delta: ``changed`` fields replace the base's,
-        ``appended`` lists extend them (bounded histories re-trim on
-        load).  Always cumulative against the *full* base, so rewriting
-        the one sidecar file supersedes the previous delta."""
-        body = json.dumps(
-            {
-                "seq": int(seq),
-                "base_seq": int(base_seq),
-                "set": changed,
-                "append": appended,
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
-        self._publish(self.delta_path, body)
-
-    def _load_delta(self) -> dict | None:
-        if not self.delta_path.exists():
-            return None
-        payload = _unframe(self.delta_path.read_text().strip())
-        if (
-            payload is None
-            or "seq" not in payload
-            or "base_seq" not in payload
-            or "set" not in payload
-            or "append" not in payload
-        ):
-            raise WalCorruptionError(
-                f"{self.delta_path}: snapshot delta failed its CRC check"
-            )
-        return payload
-
-    def load(self) -> tuple[int, dict] | None:
-        """The latest snapshot as ``(seq, state)``, or None if absent.
-
-        A valid delta whose ``base_seq`` matches the full snapshot is
-        merged in (appended list items are concatenated; the session's
-        bounded deques re-trim them on restore).  The CRCs guard against
-        at-rest corruption; because publication is atomic, a bad frame
-        here is never a torn write and always raises.
-        """
-        if not self.path.exists():
-            return None
-        payload = _unframe(self.path.read_text().strip())
-        if payload is None or "seq" not in payload or "state" not in payload:
-            raise WalCorruptionError(f"{self.path}: snapshot failed its CRC check")
-        seq, state = int(payload["seq"]), payload["state"]
-        delta = self._load_delta()
-        if delta is not None and int(delta["base_seq"]) == seq:
-            state = dict(state)
-            state.update(delta["set"])
-            for key, items in delta["append"].items():
-                state[key] = list(state.get(key, [])) + list(items)
-            seq = int(delta["seq"])
-        return seq, state
+        return states

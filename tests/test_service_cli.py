@@ -9,7 +9,7 @@ import pytest
 from repro.cli import main
 from repro.constants import B_SSV
 from repro.engine import RunLedger
-from repro.service import AdvisorService, SessionConfig
+from repro.service import AdvisorService, SessionConfig, SnapshotStore
 from repro.service.frontend import CHUNK_LINES
 from repro.service.soak import build_fleet_events
 
@@ -91,10 +91,8 @@ class TestServe:
             "--policy", "strict",
         ]) == 1
         assert "error:" in capsys.readouterr().err
-        snapshots = list(state_dir.glob("vehicles/*/snapshot.json"))
-        assert len(snapshots) == 1
-        payload = json.loads(snapshots[0].read_text()[9:])  # skip crc prefix
-        assert payload["seq"] == 1  # the good event was compacted
+        states = SnapshotStore(state_dir / "snapshot.json").load()
+        assert states["v1"]["applied"] == 1  # the good event was compacted
 
     def test_serve_missing_events_file_fails_cleanly(self, tmp_path, capsys):
         assert main([
@@ -147,7 +145,7 @@ class TestServe:
     ):
         plain = tmp_path / "plain"
         assert main(["serve", str(events_file), "--state-dir", str(plain)]) == 0
-        assert len(list(plain.glob("vehicles/*/snapshot.json"))) == 2
+        assert len(SnapshotStore(plain / "snapshot.json").load()) == 2
         assert not list(plain.glob("shard-*"))
         sharded = tmp_path / "sharded"
         assert main([
@@ -156,7 +154,7 @@ class TestServe:
         assert sorted(path.name for path in sharded.glob("shard-*")) == [
             "shard-00", "shard-01",
         ]
-        assert not (sharded / "vehicles").exists()
+        assert not (sharded / "snapshot.json").exists()
 
 
 class TestServeBatch:

@@ -14,6 +14,7 @@ Two layers:
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -22,8 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import AdvisorSession, SessionConfig, soak
+from repro.errors import InvalidParameterError
+from repro.service import AdvisorService, AdvisorSession, SessionConfig, soak
 from repro.service.advisor import RegisteredAdvisorService
+from repro.service.session import SessionRoot
 from repro.service.soak import Cell, build_fleet_events, run_cell, run_stream
 from repro.service.wal import SnapshotStore
 
@@ -150,8 +153,8 @@ class TestSplitRecovery:
             assert recovered.applied == 7
             # Recovery re-compacts: WAL empty, snapshot == live state.
             assert recovered._wal.replay() == []
-            seq, state = recovered._snapshots.load()
-            assert seq == 7
+            state = recovered._snapshots.load()["v1"]
+            assert state["applied"] == 7
             assert state == recovered.to_state()
 
 
@@ -171,9 +174,9 @@ class TestCloseCompactsOnlyDirtySessions:
         for name in ("save", "save_delta"):
             real = getattr(SnapshotStore, name)
 
-            def counting(store, *args, _real=real, **kwargs):
-                published.append(store.path.parent.name)
-                return _real(store, *args, **kwargs)
+            def counting(store, states, _real=real):
+                published.extend(states)
+                return _real(store, states)
 
             monkeypatch.setattr(SnapshotStore, name, counting)
 
@@ -201,14 +204,166 @@ class TestCloseCompactsOnlyDirtySessions:
         after = digests(warm)
         assert published == []
         warm.close()
-        assert sorted(published) == sorted(
-            warm.sessions[vehicle]._snapshots.path.parent.name for vehicle in touched
-        )
+        assert sorted(published) == touched
 
         # ...and a further restart recovers the same digests.
         again = RegisteredAdvisorService(tmp_path, config)
         assert digests(again) == after
         again.close()
+
+
+#: Three vehicles interleaved round-robin in one root: with
+#: snapshot_every=3 the root compacts every 9 events, so most splits and
+#: tears land next to a compaction.
+FLEET = [json.dumps(event) for event in build_fleet_events(3, 14, seed=5)]
+
+
+def _fleet_digests(service) -> dict:
+    return {
+        vehicle: session.state_digest()
+        for vehicle, session in sorted(service.sessions.items())
+    }
+
+
+def _clean_fleet() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        service = AdvisorService(Path(tmp), CONFIG)
+        for line in FLEET:
+            service.ingest_line(line)
+        return _fleet_digests(service)
+
+
+CLEAN_FLEET = _clean_fleet()
+
+
+class TestSharedRootLog:
+    """One WAL and one snapshot store per service root, for any fleet."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        split=st.integers(min_value=0, max_value=len(FLEET)),
+        chunk=st.integers(min_value=1, max_value=10),
+        redeliver=st.integers(min_value=1, max_value=16),
+        tear=st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
+    )
+    def test_any_split_any_tear_any_chunks_recovers_every_vehicle(
+        self, split, chunk, redeliver, tear
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "root"
+            first = AdvisorService(root, CONFIG)
+            for start in range(0, split, chunk):
+                first.ingest_lines(FLEET[start : min(start + chunk, split)])
+            del first  # crash: no close, no final compaction
+            wal = root / "wal.jsonl"
+            if tear is not None and wal.exists():
+                payload = wal.read_bytes()
+                wal.write_bytes(payload[: tear % (len(payload) + 1)])
+            recovered = AdvisorService(root, CONFIG)
+            for start in range(0, len(FLEET), redeliver):
+                recovered.ingest_lines(FLEET[start : start + redeliver])
+            assert _fleet_digests(recovered) == CLEAN_FLEET
+
+    def test_file_set_is_the_same_for_one_vehicle_and_a_thousand(self, tmp_path):
+        def files(vehicles: int) -> list[str]:
+            root = tmp_path / f"root-{vehicles}"
+            lines = [
+                json.dumps({"id": f"e-{v}", "vehicle": f"veh-{v:04d}", "t": 0.0,
+                            "stop": 30.0})
+                for v in range(vehicles)
+            ]
+            service = AdvisorService(root, CONFIG)
+            for start in range(0, len(lines), 256):
+                service.ingest_lines(lines[start : start + 256])
+            service.close()
+            service = AdvisorService(root, CONFIG)
+            service.ingest_lines([json.dumps(
+                {"id": "late", "vehicle": "veh-0000", "t": 1.0, "stop": 40.0}
+            )])
+            service.close()
+            return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+        assert files(1) == files(1000) == [
+            "snapshot.json", "snapshot.json.delta", "wal.jsonl",
+        ]
+
+    def test_compaction_writes_only_the_sessions_it_changed(
+        self, tmp_path, monkeypatch
+    ):
+        config = SessionConfig(break_even=B, snapshot_every=10**6, seed=99)
+        service = AdvisorService(tmp_path, config)
+        service.ingest_lines([
+            json.dumps({"id": f"e-{v}", "vehicle": f"veh-{v:04d}", "t": 0.0,
+                        "stop": 30.0})
+            for v in range(1000)
+        ])
+        service.close()
+
+        written: list[tuple[str, int]] = []
+        for name in ("save", "save_delta"):
+            real = getattr(SnapshotStore, name)
+
+            def counting(store, states, _real=real, _name=name):
+                written.append((_name, len(states)))
+                return _real(store, states)
+
+            monkeypatch.setattr(SnapshotStore, name, counting)
+
+        service = AdvisorService(tmp_path, config)
+        since_rebase = 0
+        for round_ in range(400):
+            touched = [f"veh-{(round_ * 7 + k * 331) % 1000:04d}" for k in range(3)]
+            service.ingest_lines([
+                json.dumps({"id": f"r{round_}-{vehicle}", "vehicle": vehicle,
+                            "t": 1.0 + round_, "stop": 30.0})
+                for vehicle in touched
+            ])
+            del written[:]
+            service.sessions[touched[0]].compact()
+            [(kind, states)] = written
+            if kind == "save_delta":
+                assert states == 3
+                since_rebase += states
+            else:
+                # A rebase rewrites the fleet, but only once the deltas
+                # since the last one have written as many states.
+                assert states == 1000 <= since_rebase + 3
+                since_rebase = 0
+        service.close()
+
+    def test_a_one_vehicle_root_compacts_where_a_lone_session_did(
+        self, tmp_path, monkeypatch
+    ):
+        # At each multiple of snapshot_every the applied count crosses,
+        # whether a batch or a single event crosses it.
+        points = []
+        real = SessionRoot.compact
+
+        def recording(root):
+            points.append(root.appended)
+            real(root)
+
+        monkeypatch.setattr(SessionRoot, "compact", recording)
+        config = SessionConfig(break_even=B, snapshot_every=4, seed=99)
+        session = AdvisorSession("v1", config, tmp_path)
+        for start in range(0, 15, 3):
+            chunk = EVENTS[start : start + 3]
+            session.submit_batch(*zip(*chunk))
+        for event in EVENTS[15:21]:
+            session.submit(*event)
+        assert points == [6, 9, 12, 16, 20]
+
+    @pytest.mark.parametrize("legacy", ["vehicles", "vehicles.idx"])
+    def test_a_root_in_the_per_vehicle_layout_is_refused(self, tmp_path, legacy):
+        if legacy == "vehicles":
+            (tmp_path / legacy / "veh-0-0123456789abcdef").mkdir(parents=True)
+        else:
+            (tmp_path / legacy).write_text('"veh-0"\n')
+        named = re.escape(str(tmp_path / legacy))
+        with pytest.raises(InvalidParameterError, match=named):
+            AdvisorService(tmp_path, CONFIG)
+        with pytest.raises(InvalidParameterError, match=named):
+            AdvisorSession("veh-0", CONFIG, tmp_path)
 
 
 class TestSigkillChaosPin:

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.faults import FsFault, FsFaultInjector, NetFault, NetFaultInjector
-from repro.service.advisor import REGISTRY_NAME, AdvisorService, RegisteredAdvisorService
+from repro.service.advisor import AdvisorService
 from repro.service.replica import (
     LocalReplicaTarget,
     RemoteReplicaTarget,
@@ -39,7 +39,6 @@ from repro.service.replica import (
     read_manifest,
     replicate,
     restore,
-    session_dirs,
     sweep_state_dir,
     sync_once,
 )
@@ -48,7 +47,7 @@ from repro.service.shard import ShardLockError, acquire_shard_lock, release_shar
 from repro.service.soak import build_fleet_events, run_stream
 from repro.service.wal import WriteAheadLog
 
-#: snapshot_every=5 keeps compaction (and delta sidecars) in play for
+#: snapshot_every=5 keeps compaction (and the delta log) in play for
 #: most shipping passes — the trickiest replication window.
 CONFIG = SessionConfig(
     break_even=28.0,
@@ -63,8 +62,8 @@ EVENTS = build_fleet_events(vehicles=3, stops_per_vehicle=12, seed=21)
 
 
 def _serve_registered(events, state_dir, *, config=CONFIG, close=True):
-    """Run a registered (promotable) primary; optionally crash-abandon it."""
-    service = RegisteredAdvisorService(Path(state_dir), config, policy="repair")
+    """Run a primary (every root is promotable); optionally crash-abandon it."""
+    service = AdvisorService(Path(state_dir), config, policy="repair")
     for record in events:
         service.process(record)
     if close:
@@ -150,8 +149,7 @@ class TestShipAndPromote:
         target = LocalReplicaTarget(standby)
         sync_once(primary, target)
         quiet = sync_once(primary, target)
-        assert (quiet["frames"], quiet["snapshots"], quiet["deltas"],
-                quiet["registries"]) == (0, 0, 0, 0)
+        assert (quiet["frames"], quiet["snapshots"], quiet["deltas"]) == (0, 0, 0)
         # primary recovers and serves the rest (full redelivery dedups)
         _serve_registered(EVENTS, primary, close=False)
         moved = sync_once(primary, target)
@@ -186,21 +184,6 @@ class TestShipAndPromote:
         (primary / "shard.lock").write_text("999999999 0\n")
         promoted = promote(standby, CONFIG, fence=primary)
         assert promoted["digests"] == reference
-
-    def test_promote_refuses_an_unidentifiable_session_dir(self, tmp_path):
-        primary = tmp_path / "primary"
-        # an UNregistered service: no vehicles.idx, no registry entry
-        service = AdvisorService(primary, CONFIG, policy="repair")
-        for record in EVENTS[:3]:
-            service.process(record)
-        # crash before any snapshot names the vehicle
-        vdir = next(iter((primary / "vehicles").iterdir()))
-        for name in ("snapshot.json", "snapshot.json.delta"):
-            with contextlib.suppress(FileNotFoundError):
-                (vdir / name).unlink()
-        del service
-        with pytest.raises(ReplicationError, match="RNG stream"):
-            promote(primary, CONFIG)
 
 
 # -- remote shipping over the JSONL socket channel --------------------------
@@ -364,6 +347,25 @@ class TestBackupRestore:
         backup(primary, archive)
         with pytest.raises(ReplicationError, match="compact"):
             restore(archive, tmp_path / "restored", upto_seq=2)
+
+    def test_pitr_refuses_a_compaction_point_past_the_restore_point(self, tmp_path):
+        # Batched ingest compacts at 6 and 12 here, and the WAL between
+        # them is gone: seq 9 cannot be rebuilt, so the restore must say
+        # which vehicle and seq stand in the way, and write nothing.
+        events = build_fleet_events(vehicles=1, stops_per_vehicle=12, seed=3)
+        lines = [json.dumps(event) for event in events]
+        primary = tmp_path / "primary"
+        service = AdvisorService(primary, CONFIG, policy="repair")
+        for start in range(0, len(lines), 3):
+            service.ingest_lines(lines[start : start + 3])
+        vehicle = events[0]["vehicle"]
+        del service  # abandoned without close()
+        archive = tmp_path / "archive"
+        backup(primary, archive)
+        restored = tmp_path / "restored"
+        with pytest.raises(ReplicationError, match=f"{vehicle}.*seq 12"):
+            restore(archive, restored, upto_seq=9)
+        assert not list(restored.iterdir())
 
 
 # -- fleet doctor + replication-lag readiness -------------------------------
@@ -530,7 +532,7 @@ class TestSweepStateDir:
     def test_sweep_removes_dead_tmp_and_stale_deltas_only(self, tmp_path):
         primary = tmp_path / "primary"
         _serve_registered(EVENTS[:6], primary, close=False)
-        vdir = next(iter((primary / "vehicles").iterdir()))
+        vdir = primary
         dead_tmp = vdir / "snapshot.json.tmp999999999"
         dead_tmp.write_text("abandoned by a dead writer")
         live_tmp = vdir / f"snapshot.json.tmp{os.getpid()}"
@@ -554,8 +556,7 @@ class TestSweepStateDir:
 
         primary = tmp_path / "primary"
         _serve_registered(EVENTS[:6], primary, close=False)
-        vdir = next(iter((primary / "vehicles").iterdir()))
-        (vdir / "wal.jsonl.tmp999999999").write_text("orphan")
+        (primary / "wal.jsonl.tmp999999999").write_text("orphan")
         code = cli.main(["cache", "doctor", "--state-dir", str(primary)])
         assert code == 0
         out = capsys.readouterr().out
@@ -649,7 +650,7 @@ class TestKillPrimaryChaosPin:
             dedup_window=64,
             seed=3,
         )
-        clean = run_stream(events, tmp_path / "clean", config, register=True)
+        clean = run_stream(events, tmp_path / "clean", config)
         cell = Cell("primary-loss", "standby", 1, at=((2 * len(events)) // 3,))
         final, evidence = run_cell(cell, events, config, tmp_path / "chaos")
         # The gate holds the primary's SIGKILL, the fleet doctor's verdict
@@ -670,12 +671,12 @@ class TestDurableSummary:
     def test_summary_is_stable_across_processless_reads(self, tmp_path):
         primary = tmp_path / "primary"
         _serve_registered(EVENTS[:6], primary, close=False)
-        for _key, vdir in session_dirs(primary):
-            first = durable_summary(vdir)
-            second = durable_summary(vdir)
-            assert first == second
-            assert first["tip"] >= first["snapshot_seq"]
-            assert isinstance(first["digest"], str) and len(first["digest"]) == 64
+        first = durable_summary(primary)
+        assert first == durable_summary(primary)
+        assert sorted(first) == sorted({event["vehicle"] for event in EVENTS[:6]})
+        for info in first.values():
+            assert info["tip"] >= info["snapshot_seq"]
+            assert isinstance(info["digest"], str) and len(info["digest"]) == 64
 
     def test_manifest_read_rejects_missing_and_corrupt(self, tmp_path):
         with pytest.raises(ReplicationError, match="backup incomplete"):
@@ -683,24 +684,3 @@ class TestDurableSummary:
         (tmp_path / "backup.manifest.json").write_text("junk with no frame\n")
         with pytest.raises(ReplicationError, match="CRC"):
             read_manifest(tmp_path)
-
-
-class TestVehicleRegistry:
-    def test_large_registry_loads_linearly_in_first_seen_order(self, tmp_path):
-        """Every shard respawn and ``promote`` replays the registry."""
-        ids = [f"veh-{index:06d}" for index in range(100_000)]
-        lines = []
-        for index, vehicle_id in enumerate(ids):
-            lines.append(json.dumps(vehicle_id))
-            if index % 3 == 0:  # an earlier id re-registered after a crash
-                lines.append(json.dumps(ids[index // 2]))
-        lines.append('"veh-torn')  # torn final line, no newline
-        (tmp_path / REGISTRY_NAME).write_text("\n".join(lines))
-        start = time.perf_counter()
-        service = RegisteredAdvisorService(tmp_path, CONFIG, recover=False)
-        elapsed = time.perf_counter() - start
-        try:
-            assert list(service._registered) == ids
-        finally:
-            service.close()
-        assert elapsed < 10.0

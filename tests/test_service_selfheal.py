@@ -229,7 +229,7 @@ def test_fsync_true_syncs_directory_after_publish_and_creation(
     monkeypatch.setattr(os, "fsync", recording_fsync)
 
     store = SnapshotStore(tmp_path / "snapshot.json", fsync=True)
-    store.save(1, {"seq": 1})
+    store.save({"v1": {"applied": 1}})
     assert len(synced_dirs) >= 1
 
     synced_dirs.clear()
@@ -248,7 +248,7 @@ def test_fsync_true_syncs_directory_after_publish_and_creation(
     plain = WriteAheadLog(tmp_path / "wal2.jsonl", fsync=False)
     plain.append({"id": "e1", "t": 0.0, "stop": 30.0})
     plain.reset()
-    SnapshotStore(tmp_path / "snap2.json", fsync=False).save(1, {})
+    SnapshotStore(tmp_path / "snap2.json", fsync=False).save({})
     assert synced_dirs == []
 
 

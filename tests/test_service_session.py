@@ -8,7 +8,6 @@ realized competitive ratio respects the fallback's guarantee —
 ``e/(e-1)`` for N-Rand, 2 for DET.
 """
 
-import re
 
 import numpy as np
 import pytest
@@ -127,26 +126,6 @@ class TestBackpressure:
         quarantined = list((tmp_path / "state").glob("*.quarantine.csv"))
         assert len(quarantined) == 1
         assert "{not json" in quarantined[0].read_text()
-
-
-class TestVehicleDirnames:
-    def test_distinct_ids_never_share_a_directory(self):
-        from repro.service.advisor import _vehicle_dirname
-
-        ids = ["Car1", "car1", "CAR1", "a/b", "a_b", "veh-" + "0" * 16]
-        names = [_vehicle_dirname(vehicle_id) for vehicle_id in ids]
-        assert len(set(names)) == len(ids)
-        # Still collision-free on case-insensitive filesystems.
-        assert len({name.lower() for name in names}) == len(ids)
-
-    def test_names_are_filesystem_safe(self):
-        from repro.service.advisor import _vehicle_dirname
-
-        for vehicle_id in ["", ".", "..", "a/../../b", "日本語", " spaced "]:
-            name = _vehicle_dirname(vehicle_id)
-            assert re.fullmatch(r"[A-Za-z0-9._-]+", name)
-            assert name not in (".", "..")
-            assert not name.startswith(".")
 
 
 def _oscillate_until_safe(session: AdvisorSession, rng) -> float:

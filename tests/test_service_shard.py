@@ -19,6 +19,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import InvalidParameterError
-from repro.service import AdvisorService, SessionConfig
+from repro.service import AdvisorService, SessionConfig, SnapshotStore
 from repro.service.frontend import JsonlFrontend, parse_listen
 from repro.service.shard import (
     SHARD_LOCK_NAME,
@@ -291,7 +292,7 @@ def test_one_shard_tier_owns_the_state_dir_and_refuses_shard_00(tmp_path):
         [json.dumps({"id": "e-1", "vehicle": "v1", "t": 0.0, "stop": 42.0})]
     )
     service.close()
-    assert len(list((tmp_path / "fleet").glob("vehicles/*/snapshot.json"))) == 1
+    assert list(SnapshotStore(tmp_path / "fleet" / "snapshot.json").load()) == ["v1"]
     assert not list((tmp_path / "fleet").glob("shard-*"))
 
     legacy = tmp_path / "old" / "shard-00"
@@ -364,7 +365,7 @@ def _single_reference(tmp, lines):
 
 def test_process_mode_matches_single_and_recovers_warm(tmp_path):
     """Real workers: decisions/digests == single process; a cold restart
-    with no traffic warm-recovers every session from vehicles.idx."""
+    with no traffic warm-recovers every session from its shard's root."""
     events = build_fleet_events(vehicles=5, stops_per_vehicle=12, seed=21)
     lines = [json.dumps(event) for event in events]
     decisions_single, digests_single, cost_single = _single_reference(
@@ -386,13 +387,58 @@ def test_process_mode_matches_single_and_recovers_warm(tmp_path):
     # Locks are released by the graceful close.
     assert not list((tmp_path / "fleet").rglob(SHARD_LOCK_NAME))
 
-    # Cold restart, zero traffic: the per-shard vehicle registry must
+    # Cold restart, zero traffic: each shard's snapshot and WAL must
     # warm-recover every session so digests come back bit-identical.
     service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=2, fsync=True)
     try:
         assert service.digests(timeout=120.0) == digests_single
     finally:
         service.close()
+
+
+def test_a_put_waiting_on_a_full_queue_leaves_the_shard_lock_free(tmp_path):
+    """A submit waiting on a frozen worker's full queue must not hold its
+    shard lock: once the worker dies, ``_respawn`` needs that lock to
+    swap the queue, and while the collector waits on it no shard's acks
+    are read and no hang is detected.  The chunks then all land once."""
+    lines = [json.dumps(event) for event in build_fleet_events(2, 6, seed=21)]
+    _, digests_single, _ = _single_reference(tmp_path, lines)
+    service = ShardedAdvisorService(
+        tmp_path / "fleet", CONFIG, shards=1, queue_depth=2, hang_timeout=None
+    )
+    try:
+        service.request_lines(lines[:1], timeout=120.0)  # the worker is up
+        pid = service.worker_pids[0]
+        os.kill(pid, signal.SIGSTOP)
+        chunks = [lines[start : start + 2] for start in range(1, len(lines), 2)]
+        service.submit_lines(chunks[0])
+        service.submit_lines(chunks[1])  # the frozen worker's queue is full
+        blocked = threading.Thread(
+            target=lambda: [service.submit_lines(chunk) for chunk in chunks[2:]]
+        )
+        blocked.start()
+        time.sleep(0.3)
+        assert blocked.is_alive()
+        lock = service._shard_locks[0]
+        free = 0
+        for _ in range(20):
+            if lock.acquire(timeout=0.02):
+                lock.release()
+                free += 1
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 60.0
+        while service.restarts[0] < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        blocked.join(timeout=60.0)
+        assert not blocked.is_alive()
+        service.drain(timeout=120.0)
+        digests = service.digests(timeout=120.0)
+        restarts = service.restarts[0]
+    finally:
+        service.close()
+    assert free >= 18, f"shard lock free in only {free} of 20 tries"
+    assert restarts == 1
+    assert digests == digests_single
 
 
 @pytest.mark.slow
@@ -713,4 +759,4 @@ def test_serve_cli_listens_without_shards(tmp_path):
     assert {
         vehicle: info["digest"] for vehicle, info in final["vehicles"].items()
     } == digests
-    assert (tmp_path / "state" / "vehicles").is_dir()
+    assert (tmp_path / "state" / "snapshot.json").is_file()

@@ -19,7 +19,7 @@ from repro.service.wal import (
 
 class TestFraming:
     def test_frame_round_trip(self):
-        payload = {"seq": 3, "id": "v-00003", "t": 12.5, "y": 87.25}
+        payload = {"seq": 3, "id": "v-00003", "t": 12.5, "v": "veh-1", "y": 87.25}
         assert _unframe(_frame(payload)) == payload
 
     def test_floats_round_trip_bit_exactly(self):
@@ -44,27 +44,32 @@ class TestFraming:
         st.text(min_size=1, max_size=40),
         st.integers(min_value=0, max_value=2**62),
         st.floats(allow_nan=False, allow_infinity=False),
+        st.text(min_size=1, max_size=40),
         st.floats(allow_nan=False, allow_infinity=False),
     )
     @settings(max_examples=200, deadline=None)
     def test_event_body_matches_json_dumps_byte_for_byte(
-        self, event_id, seq, timestamp, stop_length
+        self, event_id, seq, timestamp, vehicle, stop_length
     ):
         # The hot-path serializer must be indistinguishable from the
         # general encoder for the stop-event frame shape — including
         # ids needing escaping and floats with awkward reprs.
-        payload = {"id": event_id, "seq": seq, "t": timestamp, "y": stop_length}
+        payload = {
+            "id": event_id, "seq": seq, "t": timestamp, "v": vehicle, "y": stop_length,
+        }
         assert _event_body(payload) == json.dumps(payload, sort_keys=True)
 
     def test_event_body_defers_other_shapes(self):
-        base = {"id": "e-1", "seq": 2, "t": 1.5, "y": 2.5}
+        base = {"id": "e-1", "seq": 2, "t": 1.5, "v": "veh-1", "y": 2.5}
         assert _event_body(base) is not None
         for bad in (
             {**base, "extra": 1},  # wrong arity
+            {key: value for key, value in base.items() if key != "v"},  # no vehicle
             {**base, "t": 1},  # int where scalar path stored float
             {**base, "y": float("inf")},  # non-finite
             {**base, "id": 7},  # non-str id
-            {"a": 1, "b": 2, "c": 3, "d": 4},  # wrong keys
+            {**base, "v": 7},  # non-str vehicle
+            {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5},  # wrong keys
         ):
             assert _event_body(bad) is None
             # ...and the frame still encodes them via the fallback.
@@ -237,18 +242,23 @@ class TestGroupCommit:
 class TestSnapshotStore:
     def test_save_load_round_trip(self, tmp_path):
         store = SnapshotStore(tmp_path / "snapshot.json")
-        state = {"applied": 7, "total_cost": 123.456, "nested": {"a": [1, 2]}}
-        store.save(7, state)
-        assert store.load() == (7, state)
+        states = {
+            "v1": {"applied": 7, "total_cost": 123.456, "nested": {"a": [1, 2]}},
+            "v2": {"applied": 3, "total_cost": 0.5, "nested": {}},
+        }
+        store.save(states)
+        assert store.load() == states
+        assert SnapshotStore(tmp_path / "snapshot.json").load() == states
 
     def test_missing_snapshot_is_none(self, tmp_path):
-        assert SnapshotStore(tmp_path / "absent.json").load() is None
+        # Nothing compacted yet: no state for any vehicle.
+        assert SnapshotStore(tmp_path / "absent.json").load() == {}
 
     def test_save_overwrites_atomically(self, tmp_path):
         store = SnapshotStore(tmp_path / "snapshot.json")
-        store.save(1, {"applied": 1})
-        store.save(2, {"applied": 2})
-        assert store.load() == (2, {"applied": 2})
+        store.save({"v1": {"applied": 1}, "v2": {"applied": 1}})
+        store.save({"v1": {"applied": 2}})
+        assert store.load() == {"v1": {"applied": 2}}
         assert list(tmp_path.glob("*.tmp*")) == []
 
     def test_corrupted_snapshot_always_raises(self, tmp_path):
@@ -256,7 +266,7 @@ class TestSnapshotStore:
         # unlike the WAL tail, it must hard-fail.
         path = tmp_path / "snapshot.json"
         store = SnapshotStore(path)
-        store.save(3, {"applied": 3})
+        store.save({"v1": {"applied": 3}})
         path.write_text(path.read_text()[:-5])
         with pytest.raises(WalCorruptionError, match="CRC"):
             store.load()
@@ -265,45 +275,56 @@ class TestSnapshotStore:
 class TestSnapshotDeltas:
     def test_delta_merges_over_its_base(self, tmp_path):
         store = SnapshotStore(tmp_path / "snapshot.json")
-        store.save(10, {"applied": 10, "cost": 1.0, "recent": [1, 2]})
-        store.save_delta(13, 10, {"applied": 13, "cost": 4.5}, {"recent": [3, 4]})
-        assert store.load() == (
-            13,
-            {"applied": 13, "cost": 4.5, "recent": [1, 2, 3, 4]},
-        )
+        store.save({"v1": {"applied": 10}, "v2": {"applied": 4}})
+        store.save_delta({"v2": {"applied": 9, "cost": 4.5}})
+        assert store.load() == {
+            "v1": {"applied": 10},
+            "v2": {"applied": 9, "cost": 4.5},
+        }
+        assert store.delta_states == 1
 
     def test_delta_is_cumulative_not_chained(self, tmp_path):
-        # Rewriting the sidecar supersedes the previous delta entirely.
+        # A delta line carries a session's whole state, so a later line
+        # replaces an earlier one outright: no patch chain to merge.
         store = SnapshotStore(tmp_path / "snapshot.json")
-        store.save(10, {"applied": 10, "recent": [1]})
-        store.save_delta(12, 10, {"applied": 12}, {"recent": [2, 3]})
-        store.save_delta(15, 10, {"applied": 15}, {"recent": [2, 3, 4, 5]})
-        assert store.load() == (15, {"applied": 15, "recent": [1, 2, 3, 4, 5]})
+        store.save({"v1": {"applied": 10, "recent": [1]}})
+        store.save_delta({"v1": {"applied": 12, "recent": [1, 2]}})
+        store.save_delta({"v1": {"applied": 15, "recent": [3]}})
+        assert store.load() == {"v1": {"applied": 15, "recent": [3]}}
+        assert store.delta_states == 2
 
     def test_stale_delta_is_ignored(self, tmp_path):
-        # A crash between full-save and delta-unlink leaves a delta
-        # whose base_seq no longer matches: it must not be applied.
+        # A crash between a new base and the delta's removal leaves
+        # lines of an older generation: they must not be applied.
         store = SnapshotStore(tmp_path / "snapshot.json")
-        store.save(10, {"applied": 10, "recent": []})
-        store.save_delta(12, 10, {"applied": 12}, {"recent": [1]})
+        store.save({"v1": {"applied": 10}})
+        store.save_delta({"v1": {"applied": 12}})
         delta_bytes = store.delta_path.read_bytes()
-        store.save(20, {"applied": 20, "recent": [9]})
+        store.save({"v1": {"applied": 20}})
         store.delta_path.write_bytes(delta_bytes)  # resurrect the stale delta
-        assert store.load() == (20, {"applied": 20, "recent": [9]})
+        assert store.load() == {"v1": {"applied": 20}}
+        assert store.delta_states == 0
 
-    def test_full_save_unlinks_the_delta(self, tmp_path):
+    def test_full_save_empties_the_delta(self, tmp_path):
         store = SnapshotStore(tmp_path / "snapshot.json")
-        store.save(10, {"applied": 10})
-        store.save_delta(12, 10, {"applied": 12}, {})
-        assert store.delta_path.exists()
-        store.save(12, {"applied": 12})
-        assert not store.delta_path.exists()
-        assert store.load() == (12, {"applied": 12})
+        store.save({"v1": {"applied": 10}})
+        store.save_delta({"v1": {"applied": 12}})
+        assert store.delta_path.stat().st_size
+        store.save({"v1": {"applied": 12}})
+        assert store.delta_path.read_text() == ""
+        assert store.load() == {"v1": {"applied": 12}}
 
     def test_corrupt_delta_raises(self, tmp_path):
+        # The delta log keeps the WAL's rules: a torn final line is an
+        # interrupted compaction and is dropped; a bad line before an
+        # intact one is corruption at rest.
         store = SnapshotStore(tmp_path / "snapshot.json")
-        store.save(10, {"applied": 10})
-        store.save_delta(12, 10, {"applied": 12}, {})
-        store.delta_path.write_text(store.delta_path.read_text()[:-3])
+        store.save({"v1": {"applied": 10}})
+        store.save_delta({"v1": {"applied": 12}})
+        store.save_delta({"v1": {"applied": 14}})
+        lines = store.delta_path.read_text().splitlines()
+        store.delta_path.write_text(lines[0] + "\n" + lines[1][:-3])
+        assert store.load() == {"v1": {"applied": 12}}
+        store.delta_path.write_text(lines[0][:-3] + "X\n" + lines[1] + "\n")
         with pytest.raises(WalCorruptionError, match="delta"):
             store.load()
