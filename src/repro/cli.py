@@ -90,6 +90,98 @@ _FAST_PARAMS = {
 }
 
 
+def _add_session_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The session-config flags ``serve`` and ``promote`` share.
+
+    A promoted standby must run the exact configuration its primary ran
+    — learning-augmented flags included — to continue bit-identically;
+    :func:`_session_config` builds it.
+    """
+    parser.add_argument(
+        "--break-even",
+        type=float,
+        default=B_SSV,
+        help=f"break-even interval B in seconds (default: {B_SSV:g} for SSV)",
+    )
+    parser.add_argument(
+        "--safe-strategy",
+        choices=("nrand", "det"),
+        default="nrand",
+        help="distribution-free fallback in the SAFE state: nrand "
+        "(expected CR e/(e-1)) or det (worst-case CR 2)",
+    )
+    parser.add_argument(
+        "--snapshot-every",
+        type=int,
+        default=64,
+        help="compact the WAL into a snapshot every N applied events",
+    )
+    parser.add_argument("--seed", type=int, default=None, help="RNG base seed")
+    parser.add_argument(
+        "--predictor",
+        default="none",
+        metavar="SPEC",
+        help="learning-augmented advising: stop-length predictor feeding "
+        "the PSK interpolation — none (default), contextual (hour-of-day "
+        "running means learned from the stream itself), "
+        "contextual:MIN:DECAY, or constant:VALUE (adversarial testing); "
+        "see docs/serving.md 'Learning-augmented advising'",
+    )
+    parser.add_argument(
+        "--trust",
+        type=float,
+        default=None,
+        metavar="LAMBDA",
+        help="pin the PSK trust weight lambda in (0, 1] (default: learn "
+        "it online from the predictor's wrong-side rate; the per-stop "
+        "robustness bound is 1 + 1/lambda either way)",
+    )
+    parser.add_argument(
+        "--cvar-alpha",
+        type=float,
+        default=None,
+        metavar="ALPHA",
+        help="tail-risk control: constrain the per-stop CVaR over the "
+        "worst ALPHA-fraction of threshold draws to --cvar-cap times "
+        "the offline optimum (governs stops with no usable prediction)",
+    )
+    parser.add_argument(
+        "--cvar-cap",
+        type=float,
+        default=2.0,
+        metavar="TAU",
+        help="tail-cost cap for --cvar-alpha, as a multiple of the "
+        "offline optimum (default 2.0 — DET's unconditional worst case)",
+    )
+
+
+def _session_config(args):
+    """The session config :func:`_add_session_config_flags` describes:
+    an ``AugmentedSessionConfig`` when any learning-augmented flag is
+    set, a plain ``SessionConfig`` otherwise."""
+    from .service.session import SessionConfig
+
+    _warn_break_even(args.break_even)
+    kwargs = dict(
+        break_even=args.break_even,
+        safe_strategy=args.safe_strategy,
+        snapshot_every=args.snapshot_every,
+    )
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    if args.predictor == "none" and args.trust is None and args.cvar_alpha is None:
+        return SessionConfig(**kwargs)
+    from .service.augmented import AugmentedSessionConfig
+
+    return AugmentedSessionConfig(
+        **kwargs,
+        predictor=args.predictor,
+        trust=args.trust,
+        cvar_alpha=args.cvar_alpha,
+        cvar_cap=args.cvar_cap,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-idling",
@@ -346,31 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
         "and print its summary",
     )
     serve.add_argument(
-        "--break-even",
-        type=float,
-        default=B_SSV,
-        help=f"break-even interval B in seconds (default: {B_SSV:g} for SSV)",
-    )
-    serve.add_argument(
-        "--safe-strategy",
-        choices=("nrand", "det"),
-        default="nrand",
-        help="distribution-free fallback in the SAFE state: nrand "
-        "(expected CR e/(e-1)) or det (worst-case CR 2)",
-    )
-    serve.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=64,
-        help="compact the WAL into a snapshot every N applied events",
-    )
-    serve.add_argument(
         "--health",
         type=Path,
         default=None,
         help="also write the final health snapshot as JSON to this path",
     )
-    serve.add_argument("--seed", type=int, default=None, help="RNG base seed")
     serve.add_argument(
         "--fsync",
         action="store_true",
@@ -423,42 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet snapshot and the readiness verdict (pass events '-' with "
         "no piped stdin to serve socket-only)",
     )
-    serve.add_argument(
-        "--predictor",
-        default="none",
-        metavar="SPEC",
-        help="learning-augmented advising: stop-length predictor feeding "
-        "the PSK interpolation — none (default), contextual (hour-of-day "
-        "running means learned from the stream itself), "
-        "contextual:MIN:DECAY, or constant:VALUE (adversarial testing); "
-        "see docs/serving.md 'Learning-augmented advising'",
-    )
-    serve.add_argument(
-        "--trust",
-        type=float,
-        default=None,
-        metavar="LAMBDA",
-        help="pin the PSK trust weight lambda in (0, 1] (default: learn "
-        "it online from the predictor's wrong-side rate; the per-stop "
-        "robustness bound is 1 + 1/lambda either way)",
-    )
-    serve.add_argument(
-        "--cvar-alpha",
-        type=float,
-        default=None,
-        metavar="ALPHA",
-        help="tail-risk control: constrain the per-stop CVaR over the "
-        "worst ALPHA-fraction of threshold draws to --cvar-cap times "
-        "the offline optimum (governs stops with no usable prediction)",
-    )
-    serve.add_argument(
-        "--cvar-cap",
-        type=float,
-        default=2.0,
-        metavar="TAU",
-        help="tail-cost cap for --cvar-alpha, as a multiple of the "
-        "offline optimum (default 2.0 — DET's unconditional worst case)",
-    )
+    _add_session_config_flags(serve)
 
     ledger_cmd = sub.add_parser(
         "ledger", help="summarize a JSONL run ledger (torn-tail tolerant)"
@@ -531,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
         "promote",
         help="promote a standby state dir to primary: fence the old "
         "primary's shard locks, recover every session bit-identically, "
-        "and print the fleet digest",
+        "and print the fleet digest (the session-config flags must match "
+        "the ones the primary was served with)",
     )
     promote_cmd.add_argument(
         "state_dir", type=Path, help="standby state directory to promote"
@@ -545,29 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         "live process still owns a shard.lock there (split-brain guard)",
     )
     promote_cmd.add_argument(
-        "--break-even",
-        type=float,
-        default=B_SSV,
-        help=f"break-even interval B in seconds (default: {B_SSV:g}); "
-        "must match the primary's configuration",
-    )
-    promote_cmd.add_argument(
-        "--safe-strategy",
-        choices=("nrand", "det"),
-        default="nrand",
-        help="SAFE-state fallback; must match the primary's configuration",
-    )
-    promote_cmd.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=64,
-        help="WAL compaction cadence; must match the primary's "
-        "configuration",
-    )
-    promote_cmd.add_argument(
-        "--seed", type=int, default=None, help="RNG base seed (match primary)"
-    )
-    promote_cmd.add_argument(
         "--policy",
         choices=_POLICY_CHOICES,
         default="repair",
@@ -578,6 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fsync durable writes on the promoted service",
     )
+    _add_session_config_flags(promote_cmd)
 
     backup_cmd = sub.add_parser(
         "backup",
@@ -1096,37 +1112,12 @@ def _serve(args) -> int:
     import json
 
     from .service.frontend import CHUNK_LINES, JsonlFrontend
-    from .service.session import SessionConfig
     from .service.shard import ShardedAdvisorService
 
     if args.shards is not None and args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2
-    _warn_break_even(args.break_even)
-    config_kwargs = dict(
-        break_even=args.break_even,
-        safe_strategy=args.safe_strategy,
-        snapshot_every=args.snapshot_every,
-    )
-    if args.seed is not None:
-        config_kwargs["seed"] = args.seed
-    augmented = (
-        args.predictor != "none"
-        or args.trust is not None
-        or args.cvar_alpha is not None
-    )
-    if augmented:
-        from .service.augmented import AugmentedSessionConfig
-
-        config_kwargs.update(
-            predictor=args.predictor,
-            trust=args.trust,
-            cvar_alpha=args.cvar_alpha,
-            cvar_cap=args.cvar_cap,
-        )
-        config = AugmentedSessionConfig(**config_kwargs)
-    else:
-        config = SessionConfig(**config_kwargs)
+    config = _session_config(args)
     ledger = (
         RunLedger(args.ledger, fsync=args.fsync, append=True)
         if args.ledger is not None
@@ -1343,32 +1334,13 @@ def _replicate(args) -> int:
     return 0
 
 
-def _promotion_config(args):
-    """Build the :class:`SessionConfig` a promoted standby must run with.
-
-    Bit-identical continuation requires the exact configuration the
-    primary ran — the flags mirror ``serve``'s.
-    """
-    from .service.session import SessionConfig
-
-    _warn_break_even(args.break_even)
-    kwargs = dict(
-        break_even=args.break_even,
-        safe_strategy=args.safe_strategy,
-        snapshot_every=args.snapshot_every,
-    )
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return SessionConfig(**kwargs)
-
-
 def _promote(args) -> int:
     """``promote``: fence the old primary and take over bit-identically."""
     from .service.replica import promote
 
     result = promote(
         args.state_dir,
-        _promotion_config(args),
+        _session_config(args),
         fence=args.fence,
         policy=args.policy,
         fsync=args.fsync,

@@ -411,8 +411,9 @@ class AugmentedAdvisorSession(AdvisorSession):
         return state
 
     def _load_state(self, state: dict) -> None:
+        state = dict(state)
+        augmented = state.pop("augmented", None)
         super()._load_state(state)
-        augmented = state.get("augmented")
         if not augmented:
             return  # snapshot from a plain session: learners start cold
         predictor_state = augmented.get("predictor")

@@ -1141,6 +1141,16 @@ class AdvisorSession:
             raise InvalidParameterError(
                 f"unsupported session state version {state.get('version')!r}"
             )
+        if "augmented" in state:
+            # Loading it plainly would drop the learners, and the next
+            # compaction would make the loss durable.
+            raise InvalidParameterError(
+                f"vehicle {self.vehicle_id!r}: the compacted state carries "
+                "learning-augmented state (predictor, trust) that a plain "
+                "SessionConfig cannot keep; open it with the "
+                "AugmentedSessionConfig it was served with (serve/promote "
+                "--predictor, --trust, --cvar-alpha, --cvar-cap)"
+            )
         self.applied = int(state["applied"])
         self.total_cost = float(state["total_cost"])
         self.health = HealthState(state["health"])

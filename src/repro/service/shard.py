@@ -17,20 +17,25 @@ vehicle-id space across N worker processes with a consistent-hash ring:
   ``state_digest()`` values equals the single-process run
   (``tests/test_service_shard.py`` pins this as a Hypothesis property).
 
-Delivery is **at-least-once**: the parent keeps every dispatched chunk
-in flight until the owning worker acknowledges it.  A worker that dies
-(SIGKILL, OOM) is respawned — recovering its shard bit-identically from
-the WAL + snapshots — and the unacknowledged chunks are redelivered in
-their original dispatch order; the sessions' idempotent event ids
-absorb anything the dead worker had already applied.  ``SIGTERM`` is
-the graceful path: the worker finishes what is already queued, flushes
-WAL + final snapshots (``service.close()``) and exits, and the parent
-spawns a fresh worker for the handoff.
+Every shard answers the same commands — a chunk's decisions, a health
+snapshot, the digests — through one function over its
+``AdvisorService``, called directly for an in-process shard and by the
+command loop of a worker process.  Delivery to a worker is
+**at-least-once**: the parent keeps every command it sends, chunk or
+control request, in its shard's in-flight ledger until the worker
+answers it.  A worker that dies (SIGKILL, OOM) is respawned —
+recovering its shard bit-identically from the WAL + snapshots — and the
+unanswered commands are redelivered in their original dispatch order;
+the sessions' idempotent event ids absorb anything the dead worker had
+already applied.  ``SIGTERM`` is the graceful path: the worker finishes
+what is already queued, flushes WAL + final snapshots
+(``service.close()``) and exits, and the parent spawns a fresh worker
+for the handoff.
 
 Supervision is self-healing (see ``docs/serving.md``, "Failure-mode
-matrix"): a worker that goes silent while holding work — no ack, reply,
-or idle heartbeat for ``hang_timeout`` — is SIGKILLed and recovered
-like any crash; a chunk at the head of the redelivery queue across
+matrix"): a worker that goes silent while holding work — no answer or
+idle heartbeat for ``hang_timeout`` — is SIGKILLed and recovered like
+any crash; a command at the head of the in-flight ledger across
 ``poison_budget`` consecutive crashes is quarantined with provenance to
 ``poison.quarantine.jsonl`` and skipped; a shard that crashes
 ``restart_budget`` times consecutively (backing off exponentially
@@ -92,9 +97,6 @@ _BACKOFF_CAP_S = 5.0
 #: Poison-chunk quarantine sidecar (JSONL, parent-side, with provenance
 #: — the shard-tier mirror of the validation layer's quarantine files).
 POISON_SIDECAR_NAME = "poison.quarantine.jsonl"
-#: Sentinel returned by ``_dispatch`` when the target shard's circuit
-#: breaker is open, so callers can count the shed sub-chunk.
-_BREAKER = object()
 
 
 def parallel_headroom() -> int:
@@ -254,48 +256,31 @@ def sweep_stale_shard_locks(root: str | Path) -> list[str]:
     return removed
 
 
-# -- worker process --------------------------------------------------------
+# -- one shard's answers ---------------------------------------------------
 
 
-def _execute_command(
-    shard: int, service: AdvisorService, command, conn, injector=None
-) -> None:
-    kind = command[0]
+def _answer(service: AdvisorService, kind: str, arg):
+    """One shard's answer to one command, computed over its service.
+
+    Both transports run this: an in-process shard calls it from the
+    caller's thread, a worker process from its command loop.  ``kind``
+    is ``"chunk"`` (``arg``: JSONL lines; the answer is their
+    decisions), ``"health"`` (``arg``: ``include_vehicles``) or
+    ``"digests"``.
+    """
     if kind == "chunk":
-        _, chunk_id, lines, want_decisions = command
-        if injector is not None:
-            # Chaos hook: every line is offered to the fault injector
-            # *before* any line of the chunk is applied, so a "kill"
-            # fault can never leave a partially ingested chunk behind —
-            # redelivery after the crash replays the whole chunk.
-            for line in lines:
-                injector(line)
-        decisions = service.ingest_lines(lines)
-        # The ack timestamp is CLOCK_MONOTONIC, comparable with the
-        # parent's dispatch stamp on the same host — it is the p50/p99
-        # chunk-latency sample.
-        conn.send(
-            (
-                "ack",
-                shard,
-                chunk_id,
-                time.monotonic(),
-                len(lines),
-                decisions if want_decisions else None,
-            )
-        )
-    elif kind == "health":
-        _, request_id, include_vehicles = command
-        snapshot = service.health_snapshot(include_vehicles=include_vehicles)
+        return service.ingest_lines(arg)
+    if kind == "health":
+        snapshot = service.health_snapshot(include_vehicles=arg)
         snapshot["vehicle_count"] = len(service.sessions)
-        conn.send(("reply", shard, request_id, snapshot))
-    elif kind == "digests":
-        _, request_id = command
-        digests = {
-            vehicle_id: session.state_digest()
-            for vehicle_id, session in sorted(service.sessions.items())
-        }
-        conn.send(("reply", shard, request_id, digests))
+        return snapshot
+    return {
+        vehicle_id: session.state_digest()
+        for vehicle_id, session in sorted(service.sessions.items())
+    }
+
+
+# -- worker process --------------------------------------------------------
 
 
 def _worker_loop(
@@ -303,23 +288,19 @@ def _worker_loop(
 ) -> None:
     last_sent = time.monotonic()
     while True:
-        if stopping.is_set():
+        try:
             # SIGTERM drain: finish what is already queued, take nothing
             # new; the caller then flushes WAL + snapshots and exits.
-            while True:
-                try:
-                    command = commands.get_nowait()
-                except queue_module.Empty:
-                    return
-                if command[0] == "stop":
-                    return
-                _execute_command(shard, service, command, conn, injector)
-        try:
-            command = commands.get(timeout=0.1)
+            if stopping.is_set():
+                command = commands.get_nowait()
+            else:
+                command = commands.get(timeout=0.1)
         except queue_module.Empty:
-            # Idle heartbeat: acks double as liveness while busy, so a
-            # beat is only needed when there is nothing to ack.  A send
-            # failure means the parent is gone — exit quietly.
+            if stopping.is_set():
+                return
+            # Idle heartbeat: answers double as liveness while busy, so a
+            # beat is only needed when there is nothing to answer.  A
+            # send failure means the parent is gone — exit quietly.
             if beat_every > 0.0 and time.monotonic() - last_sent >= beat_every:
                 try:
                     conn.send(("beat", shard))
@@ -327,9 +308,23 @@ def _worker_loop(
                     return
                 last_sent = time.monotonic()
             continue
-        if command[0] == "stop":
+        if command is None:  # the stop sentinel
             return
-        _execute_command(shard, service, command, conn, injector)
+        request_id, kind, arg, want = command
+        if injector is not None and kind == "chunk":
+            # Chaos hook: every line is offered to the fault injector
+            # *before* any line of the chunk is applied, so a "kill"
+            # fault can never leave a partially ingested chunk behind —
+            # redelivery after the crash replays the whole chunk.
+            for line in arg:
+                injector(line)
+        answer = _answer(service, kind, arg)
+        # The done stamp is CLOCK_MONOTONIC, comparable with the parent's
+        # dispatch stamp on the same host — it is the p50/p99
+        # chunk-latency sample.
+        conn.send(
+            ("done", shard, request_id, time.monotonic(), answer if want else None)
+        )
         last_sent = time.monotonic()
 
 
@@ -348,10 +343,10 @@ def _shard_worker(
     """Worker-process entry point (module-level: spawn-picklable).
 
     Owns one shard: lock the state dir, warm-recover every session,
-    serve commands until ``("stop",)`` or SIGTERM, then flush WAL +
-    final snapshots and release the lock.  Any exception is reported to
-    the parent as an ``("error", ...)`` message rather than a silent
-    nonzero exit.
+    answer commands until the stop sentinel (``None``) or SIGTERM, then
+    flush WAL + final snapshots and release the lock.  Any exception is
+    reported to the parent as an ``("error", ...)`` message rather than
+    a silent nonzero exit.
     """
     stopping = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_args: stopping.set())
@@ -371,15 +366,8 @@ def _shard_worker(
     error = None
     try:
         service = AdvisorService(Path(state_dir), config, policy=policy, fsync=fsync)
-        if ledger is not None:
-            with use_ledger(ledger):
-                _worker_loop(
-                    shard, service, commands, conn, stopping, injector, beat_every
-                )
-        else:
-            _worker_loop(
-                shard, service, commands, conn, stopping, injector, beat_every
-            )
+        with use_ledger(ledger):  # None: this fresh process has no ledger
+            _worker_loop(shard, service, commands, conn, stopping, injector, beat_every)
     except Exception:
         error = traceback.format_exc()
     if service is not None:
@@ -402,6 +390,12 @@ def _shard_worker(
 class ShardedAdvisorService:
     """Consistent-hash sharded advisor fleet (see module docstring).
 
+    Every public method sends per-shard commands — a chunk of lines, or
+    a ``health`` / ``digests`` control request — and gathers their
+    answers one way, whatever the transport: each command takes the
+    next id from one sequence, and a wanted answer waits in one result
+    map for its caller.
+
     Parameters
     ----------
     state_dir:
@@ -415,11 +409,12 @@ class ShardedAdvisorService:
         Worker count (>= 1).
     workers:
         ``True`` (default) spawns one process per shard.  ``False``
-        runs the same routing over in-process ``AdvisorService``
-        instances — no parallelism, but byte-for-byte the same
-        partition.  Plain ``serve`` runs this mode with one shard; its
-        entry points share one lock, because the front end calls them
-        from worker threads, one per open connection.
+        keeps every shard in process: the same routing and the same
+        commands, each answered in the caller's thread — no
+        parallelism, but byte-for-byte the same partition, and a
+        failure raises to the caller.  Plain ``serve`` runs this mode
+        with one shard; its commands share one lock, because the front
+        end calls from worker threads, one per open connection.
     queue_depth:
         Bound on each shard's pending-command queue; a full queue
         blocks the caller (lossless backpressure).
@@ -429,29 +424,31 @@ class ShardedAdvisorService:
         JSONL appends do not interleave safely across processes).
     hang_timeout:
         Self-healing supervision: a worker that is *alive* but has sent
-        nothing — no ack, no reply, no idle heartbeat — for this many
-        seconds while holding in-flight work is presumed hung
-        (deadlocked, SIGSTOPped, livelocked), SIGKILLed, and respawned
-        through the normal redelivery path.  Workers send idle
-        heartbeats every ``hang_timeout / 4`` seconds (floored at 50 ms,
-        capped at 1 s) and every ack doubles as a beat, so the timeout
-        only needs to exceed the worst-case single-chunk processing
-        time.  ``None`` disables hang detection.
+        nothing — no answer, no idle heartbeat — for this many seconds
+        while holding in-flight commands is presumed hung (deadlocked,
+        SIGSTOPped, livelocked), SIGKILLed, and respawned through the
+        normal redelivery path.  Workers send idle heartbeats every
+        ``hang_timeout / 4`` seconds (floored at 50 ms, capped at 1 s)
+        and every answer doubles as a beat, so the timeout only needs
+        to exceed the worst-case single-command processing time.
+        ``None`` disables hang detection.
     restart_budget:
         Crash-loop containment: after this many *consecutive* crashes
-        (any successful ack resets the count) the shard's circuit
+        (any chunk's completion resets the count) the shard's circuit
         breaker opens — the worker stays down, its traffic is shed with
         count (``breaker_shed``), control requests get ``None`` rows —
         instead of burning CPU respawning forever.  Consecutive crashes
         before the budget back off exponentially (0.1 s doubling, capped
         at 5 s; the first crash respawns immediately).
     poison_budget:
-        Poison-chunk quarantine: when the same head-of-queue chunk is
-        in flight across this many consecutive crashes, the chunk —
-        not the worker — is presumed at fault; it is written with full
-        provenance to ``state_dir/poison.quarantine.jsonl``, dropped
-        from redelivery, counted (``quarantined_chunks`` /
-        ``quarantined_events``), and the crash counter resets so the
+        Poison quarantine: when the same command — a chunk or a control
+        request — is at the head of its shard's in-flight ledger across
+        this many consecutive crashes, the command, not the worker, is
+        presumed at fault; it is written with full provenance to
+        ``state_dir/poison.quarantine.jsonl``, dropped from redelivery,
+        counted (``quarantined_chunks`` / ``quarantined_events``; a
+        control request counts as a chunk of no events), its caller
+        gets a ``None`` answer, and the crash counter resets so the
         shard keeps serving everything else.
     injector:
         Optional :class:`repro.engine.faults.FaultInjector` consulted
@@ -512,6 +509,7 @@ class ShardedAdvisorService:
         self._ledger_path = None if ledger_path is None else str(ledger_path)
         self._ledger = active_ledger()
         self._lock = threading.Lock()
+        self._wake = threading.Condition(self._lock)
         self.dispatched_events = 0
         self.restarts = [0] * self.shards
         # -- self-healing supervision (see class docstring) --
@@ -533,6 +531,20 @@ class ShardedAdvisorService:
             else max(0.05, min(1.0, self.hang_timeout / 4.0))
         )
         self._poison_path = self.state_dir / POISON_SIDECAR_NAME
+        # The command path: one id sequence for chunks and control
+        # requests; per shard, the at-least-once ledger of commands a
+        # worker has not answered yet (id -> (command, submit_monotonic,
+        # events)); and the answers waiting for their callers.
+        self._next_id = 0
+        self._in_flight: list[dict[int, tuple]] = [{} for _ in range(self.shards)]
+        self._results: dict[int, object] = {}
+        self._latencies: list[tuple[float, int]] = []
+        self._acked_chunks = [0] * self.shards
+        self._acked_events = [0] * self.shards
+        self._stop_sent: set[int] = set()
+        self._errors: list[str] = []
+        self._shutdown = False
+        self._procs: list = []
         if not self.worker_mode:
             self._inline = [
                 AdvisorService(
@@ -540,34 +552,18 @@ class ShardedAdvisorService:
                 )
                 for index in range(self.shards)
             ]
-            self._closed = False
             return
         self._context = multiprocessing.get_context("spawn")
-        self._wake = threading.Condition(self._lock)
         self._shard_locks = [threading.Lock() for _ in range(self.shards)]
-        self._chunk_counter = 0
-        self._request_counter = 0
-        # chunk_id -> (command, submit_monotonic, event_count); kept
-        # until the owning worker acks — the at-least-once ledger.
-        self._in_flight: list[dict[int, tuple]] = [{} for _ in range(self.shards)]
-        self._decisions: dict[int, list] = {}
-        self._replies: dict[int, object] = {}
-        self._pending_controls: dict[int, tuple[int, tuple]] = {}
-        self._latencies: list[tuple[float, int]] = []
-        self._acked_chunks = [0] * self.shards
-        self._acked_events = [0] * self.shards
-        self._stop_sent: set[int] = set()
         self._stopped: set[int] = set()
         self._failed: set[int] = set()
         self._eof: set[int] = set()
-        self._errors: list[str] = []
-        self._shutdown = False
-        # Supervision bookkeeping: last message time per shard (acks,
-        # replies, and idle beats all count), consecutive-crash counts
-        # (reset by any ack or a quarantine), per-chunk crash
-        # attribution for the head of each shard's redelivery queue,
-        # not-before respawn deadlines (crash-loop backoff), and the
-        # set of dead workers whose death has already been classified.
+        # Supervision bookkeeping: last message time per shard (answers
+        # and idle beats both count), consecutive-crash counts (reset by
+        # a chunk's completion or a quarantine), per-command crash
+        # attribution for the head of each shard's in-flight ledger,
+        # not-before respawn deadlines (crash-loop backoff), and the set
+        # of dead workers whose death has already been classified.
         self._last_seen = [time.monotonic()] * self.shards
         # Shards whose current worker has sent at least one message
         # since its last spawn.  Hang detection only arms after that:
@@ -581,7 +577,7 @@ class ShardedAdvisorService:
         self._death_noted: set[int] = set()
         self._commands: list = [None] * self.shards
         self._pipes: list = [None] * self.shards
-        self._procs: list = [None] * self.shards
+        self._procs = [None] * self.shards
         for index in range(self.shards):
             self._spawn(index)
         self._collector = threading.Thread(
@@ -607,8 +603,6 @@ class ShardedAdvisorService:
 
     @property
     def worker_pids(self) -> list[int | None]:
-        if not self.worker_mode:
-            return []
         return [process.pid if process is not None else None for process in self._procs]
 
     def __enter__(self) -> "ShardedAdvisorService":
@@ -675,155 +669,116 @@ class ShardedAdvisorService:
         lines = self._as_lines(lines)
         if not lines:
             return
-        if not self.worker_mode:
-            self._ingest_inline(lines)
-            return
         for shard, (_positions, sub_lines) in self._partition(lines):
-            if self._dispatch(shard, sub_lines, want_decisions=False) is _BREAKER:
-                self._note_breaker_shed(shard, len(sub_lines))
+            self._request(shard, "chunk", sub_lines, want=False)
 
     def request_lines(self, lines, timeout: float | None = None) -> list:
         """Route one chunk and wait for its decisions, aligned with input.
 
         The front end's request/response path: one decision (or None
         for malformed/dropped records) per input line, in input order.
+        A shed or quarantined sub-chunk leaves its positions None.
         """
         lines = self._as_lines(lines)
         if not lines:
             return []
-        if not self.worker_mode:
-            return self._ingest_inline(lines)
+        parts = self._partition(lines)
+        answers = self._ask(
+            "chunk", [(shard, sub_lines) for shard, (_, sub_lines) in parts], timeout
+        )
         results: list = [None] * len(lines)
-        waiting = []
-        for shard, (positions, sub_lines) in self._partition(lines):
-            chunk_id = self._dispatch(shard, sub_lines, want_decisions=True)
-            if chunk_id is _BREAKER:
-                # Breaker-open shard: those positions stay None (the
-                # same contract as a malformed/dropped record) and the
-                # shed is counted.
-                self._note_breaker_shed(shard, len(sub_lines))
-                continue
-            waiting.append((chunk_id, positions))
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._wake:
-            for chunk_id, positions in waiting:
-                while chunk_id not in self._decisions:
-                    self._raise_errors_locked()
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"no decision for chunk {chunk_id} within {timeout}s"
-                        )
-                    self._wake.wait(0.2)
-                decisions = self._decisions.pop(chunk_id)
-                for position, decision in zip(positions, decisions):
-                    results[position] = decision
-        return results
-
-    def _ingest_inline(self, lines: list[str]) -> list:
-        """Inline mode: apply one chunk shard by shard, under the lock."""
-        results: list = [None] * len(lines)
-        with self._lock:
-            for shard, (positions, sub_lines) in self._partition(lines):
-                self.dispatched_events += len(sub_lines)
-                decisions = self._inline[shard].ingest_lines(sub_lines)
-                for position, decision in zip(positions, decisions):
-                    results[position] = decision
+        for (_shard, (positions, _lines)), decisions in zip(parts, answers):
+            for position, decision in zip(positions, decisions or ()):
+                results[position] = decision
         return results
 
     def drain(self, timeout: float | None = None) -> None:
-        """Block until every dispatched chunk has been acknowledged."""
-        if not self.worker_mode:
-            return
+        """Block until every command sent to a worker has been answered."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._wake:
-            while any(self._in_flight[index] for index in range(self.shards)):
+            while any(self._in_flight):
                 self._raise_errors_locked()
                 if deadline is not None and time.monotonic() > deadline:
                     pending = {
-                        index: len(self._in_flight[index])
-                        for index in range(self.shards)
-                        if self._in_flight[index]
+                        index: len(ledger)
+                        for index, ledger in enumerate(self._in_flight)
+                        if ledger
                     }
                     raise TimeoutError(f"shards did not drain in time: {pending}")
                 self._wake.wait(0.2)
-
-    def _dispatch(self, shard, sub_lines, *, want_decisions):
-        submit_t = time.monotonic()
-        with self._wake:
-            self._raise_errors_locked()
-            if self._shutdown or shard in self._stop_sent:
-                raise ReproError("dispatch on a closed ShardedAdvisorService")
-            if shard in self.breaker_open:
-                return _BREAKER
-            self._chunk_counter += 1
-            chunk_id = self._chunk_counter
-        command = ("chunk", chunk_id, sub_lines, want_decisions)
-        if not self._put(shard, command, (chunk_id, submit_t, len(sub_lines))):
-            return _BREAKER
-        return chunk_id
 
     @property
     def breaker_shed(self) -> int:
         """Total events shed because a circuit breaker was open."""
         return sum(self.breaker_shed_by_shard)
 
-    def _note_breaker_shed(self, shard: int, events: int) -> None:
-        """Count events shed into an open breaker."""
-        with self._lock:
-            self.breaker_shed_by_shard[shard] += events
+    # -- the command path -------------------------------------------------
 
-    # -- control plane ----------------------------------------------------
-
-    def _control(self, name: str, *args, timeout: float | None = None) -> list:
-        """One control request per shard; returns payloads by shard index.
-
-        Requests are recorded in ``_pending_controls`` *before* the put
-        so a worker death between put and reply re-sends them on
-        respawn (duplicates are ignored reply-side).  A breaker-open
-        shard has no worker to answer: its slot is ``None`` (callers
-        render it as a "down" row rather than blocking forever).
-        """
-        request_ids = []
-        for shard in range(self.shards):
-            with self._wake:
-                self._raise_errors_locked()
-                self._request_counter += 1
-                request_id = self._request_counter
-                if shard in self.breaker_open:
-                    self._replies[request_id] = None
-                    request_ids.append(request_id)
-                    continue
-            command = (name, request_id, *args)
-            with self._lock:
-                self._pending_controls[request_id] = (shard, command)
-            self._put(shard, command)
-            request_ids.append(request_id)
+    def _ask(self, kind: str, requests, timeout: float | None) -> list:
+        """Send one ``kind`` command per ``(shard, arg)`` and wait for
+        the answers, in the same order."""
+        request_ids = [self._request(shard, kind, arg) for shard, arg in requests]
         deadline = None if timeout is None else time.monotonic() + timeout
-        results = []
+        answers = []
         with self._wake:
             for request_id in request_ids:
-                while request_id not in self._replies:
+                while request_id not in self._results:
                     self._raise_errors_locked()
                     if deadline is not None and time.monotonic() > deadline:
-                        raise TimeoutError(f"no {name} reply within {timeout}s")
+                        raise TimeoutError(
+                            f"no answer to {kind} request {request_id} "
+                            f"within {timeout}s"
+                        )
                     self._wake.wait(0.2)
-                results.append(self._replies.pop(request_id))
-        return results
+                answers.append(self._results.pop(request_id))
+        return answers
 
-    def _put(self, shard: int, command, chunk=None) -> bool:
-        """Queue ``command`` for ``shard``, waiting out a full queue;
-        False when the shard's breaker is open.
+    def _request(self, shard: int, kind: str, arg, want: bool = True) -> int:
+        """Send one command to ``shard``; returns its id.
 
-        ``chunk`` — ``(chunk_id, submit_t, events)`` — records the put
-        in flight, under the per-shard lock that serializes it against
-        the collector's queue swap on worker death: a chunk either lands
-        in the pre-swap queue *and* is recorded in flight (so the swap
-        redelivers it) or lands in the fresh queue.  The put never
-        blocks while holding that lock.  A dead worker's queue can be
-        full, and ``_respawn`` needs the lock to swap it; while it
-        waits, the collector reads no shard's acks and detects no hang.
-        So a full queue is waited out with the lock released.
+        A breaker-open shard has no worker to answer: a chunk's events
+        are shed with count, and a wanted answer is ``None`` (callers
+        render it as a None decision or a "down" row rather than
+        blocking forever).
         """
+        events = len(arg) if kind == "chunk" else 0
+        with self._wake:
+            self._raise_errors_locked()
+            if self._shutdown or shard in self._stop_sent:
+                raise ReproError("dispatch on a closed ShardedAdvisorService")
+            self._next_id += 1
+            request_id = self._next_id
+        if not self._send(shard, (request_id, kind, arg, want), events):
+            with self._lock:
+                self.breaker_shed_by_shard[shard] += events
+                if want:
+                    self._results[request_id] = None
+        return request_id
+
+    def _send(self, shard: int, command, events: int = 0) -> bool:
+        """Hand ``command`` to ``shard``; False when its breaker is open.
+
+        An in-process shard answers at once, under the tier lock.  A
+        worker's command is queued and recorded in flight under the
+        per-shard lock that serializes it against the collector's queue
+        swap on worker death: a command either lands in the pre-swap
+        queue *and* is recorded in flight (so the swap redelivers it) or
+        lands in the fresh queue.  The put never blocks while holding
+        that lock.  A dead worker's queue can be full, and ``_respawn``
+        needs the lock to swap it; while it waits, the collector reads
+        no shard's answers and detects no hang.  So a full queue is
+        waited out with the lock released.  The stop sentinel (``None``)
+        is never answered, so it is never in flight.
+        """
+        if not self.worker_mode:
+            request_id, kind, arg, want = command
+            with self._lock:
+                self.dispatched_events += events
+                answer = _answer(self._inline[shard], kind, arg)
+                if want:
+                    self._results[request_id] = answer
+            return True
+        submit_t = time.monotonic()
         while True:
             with self._shard_locks[shard]:
                 with self._lock:
@@ -836,21 +791,21 @@ class ShardedAdvisorService:
                 except queue_module.Full:
                     pass
                 else:
-                    if chunk is not None:
-                        with self._lock:
-                            if shard in self.breaker_open:
-                                # The breaker opened between the check
-                                # and the put: the put landed in a dead
-                                # worker's queue, and the breaker sweep
-                                # already ran, so shed it.
-                                return False
-                            chunk_id, submit_t, events = chunk
-                            self._in_flight[shard][chunk_id] = (
-                                command,
-                                submit_t,
-                                events,
-                            )
-                            self.dispatched_events += events
+                    if command is None:
+                        return True
+                    with self._lock:
+                        if shard in self.breaker_open:
+                            # The breaker opened between the check and
+                            # the put: the put landed in a dead worker's
+                            # queue, and the breaker sweep already ran,
+                            # so shed it.
+                            return False
+                        self._in_flight[shard][command[0]] = (
+                            command,
+                            submit_t,
+                            events,
+                        )
+                        self.dispatched_events += events
                     return True
             with self._wake:
                 self._raise_errors_locked()
@@ -865,31 +820,22 @@ class ShardedAdvisorService:
     def take_latencies(self) -> list[tuple[float, int]]:
         """Drain the accumulated per-chunk ``(latency_s, events)`` samples.
 
-        Latency is dispatch-to-worker-ack wall time — the worst case an
-        event in the chunk waited for its decision (queueing included).
+        Latency is dispatch-to-worker-answer wall time — the worst case
+        an event in the chunk waited for its decision (queueing
+        included).  In-process shards record none.
         """
-        if not self.worker_mode:
-            return []
         with self._lock:
             latencies, self._latencies = self._latencies, []
         return latencies
 
     def digests(self, timeout: float | None = None) -> dict[str, str]:
         """Per-vehicle ``state_digest()`` across the whole fleet, sorted."""
-        if self.worker_mode:
-            parts = self._control("digests", timeout=timeout)
-        else:
-            with self._lock:
-                parts = [
-                    {
-                        vehicle_id: session.state_digest()
-                        for vehicle_id, session in sorted(service.sessions.items())
-                    }
-                    for service in self._inline
-                ]
+        parts = self._ask(
+            "digests", [(shard, None) for shard in range(self.shards)], timeout
+        )
         merged: dict[str, str] = {}
         for part in parts:
-            merged.update(part)
+            merged.update(part or {})
         return dict(sorted(merged.items()))
 
     def health_snapshot(
@@ -900,8 +846,8 @@ class ShardedAdvisorService:
         Same core schema as ``AdvisorService.health_snapshot`` —
         ``fleet_cost`` / ``vehicles`` / ``ingest`` / ``states`` — plus
         ``routing`` (ring + tier-level counters) and ``shards`` (one
-        row per worker: pid, liveness, restarts, hangs, acked
-        chunks/events, in-flight depth, breaker state).
+        row per shard; a worker's row adds pid, liveness, restarts,
+        hangs, acked chunks/events, in-flight depth, breaker state).
         ``include_vehicles=False`` keeps the payload O(shards), not
         O(fleet) — at 100k vehicles the per-vehicle map is megabytes.
 
@@ -909,17 +855,11 @@ class ShardedAdvisorService:
         ``None`` health fields — its worker is gone, so its session
         state is unreadable, but the fleet snapshot must still answer.
         """
-        if self.worker_mode:
-            snapshots = self._control("health", include_vehicles, timeout=timeout)
-        else:
-            snapshots = []
-            with self._lock:
-                for service in self._inline:
-                    snapshot = service.health_snapshot(
-                        include_vehicles=include_vehicles
-                    )
-                    snapshot["vehicle_count"] = len(service.sessions)
-                    snapshots.append(snapshot)
+        snapshots = self._ask(
+            "health",
+            [(shard, include_vehicles) for shard in range(self.shards)],
+            timeout,
+        )
         live = [snapshot for snapshot in snapshots if snapshot is not None]
         vehicles: dict = {}
         for snapshot in live:
@@ -965,22 +905,21 @@ class ShardedAdvisorService:
                     "fleet_cost": snapshot["fleet_cost"],
                     "states": snapshot["states"],
                 }
-            if self.worker_mode:
-                process = self._procs[index]
-                with self._lock:
-                    row.update(
-                        pid=None if process is None else process.pid,
-                        alive=process is not None and process.is_alive(),
-                        restarts=self.restarts[index],
-                        hangs=self.hangs[index],
-                        consecutive_crashes=self._consecutive_crashes[index],
-                        breaker_open=index in self.breaker_open,
-                        breaker_shed=self.breaker_shed_by_shard[index],
-                        chunks_acked=self._acked_chunks[index],
-                        events_acked=self._acked_events[index],
-                        in_flight=len(self._in_flight[index]),
-                    )
             shard_rows.append(row)
+        with self._lock:
+            for index, process in enumerate(self._procs):
+                shard_rows[index].update(
+                    pid=None if process is None else process.pid,
+                    alive=process is not None and process.is_alive(),
+                    restarts=self.restarts[index],
+                    hangs=self.hangs[index],
+                    consecutive_crashes=self._consecutive_crashes[index],
+                    breaker_open=index in self.breaker_open,
+                    breaker_shed=self.breaker_shed_by_shard[index],
+                    chunks_acked=self._acked_chunks[index],
+                    events_acked=self._acked_events[index],
+                    in_flight=len(self._in_flight[index]),
+                )
         return {
             "fleet_cost": fleet_cost,
             "vehicles": vehicles,
@@ -1045,26 +984,15 @@ class ShardedAdvisorService:
         can tell a crash loop from a full disk.
         """
         reasons: list[str] = []
-        if not self.worker_mode:
-            with self._lock:
-                verdicts = [service.readiness() for service in self._inline]
-            for index, verdict in enumerate(verdicts):
-                reasons.extend(
-                    f"shard {index}: {reason}" for reason in verdict["reasons"]
-                )
-            return gate_on_replication(self.replication, reasons)
         with self._lock:
             if self._errors:
                 reasons.append("worker error (see service logs)")
             breakers = sorted(self.breaker_open)
             dead = [
                 index
-                for index in range(self.shards)
+                for index, process in enumerate(self._procs)
                 if index not in self.breaker_open
-                and (
-                    self._procs[index] is None
-                    or not self._procs[index].is_alive()
-                )
+                and (process is None or not process.is_alive())
             ]
         if breakers:
             reasons.append(f"circuit breaker open on shards {breakers}")
@@ -1072,7 +1000,9 @@ class ShardedAdvisorService:
             reasons.append(f"workers dead on shards {dead}")
         if not reasons:
             try:
-                snapshots = self._control("health", False, timeout=timeout)
+                snapshots = self._ask(
+                    "health", [(shard, False) for shard in range(self.shards)], timeout
+                )
             except (ReproError, TimeoutError) as exc:
                 reasons.append(f"health probe failed: {exc}")
             else:
@@ -1080,9 +1010,7 @@ class ShardedAdvisorService:
                     if snapshot is None:
                         reasons.append(f"shard {index} is down")
                         continue
-                    suspended = snapshot.get("durability", {}).get(
-                        "suspended_sessions", 0
-                    )
+                    suspended = snapshot["durability"]["suspended_sessions"]
                     if suspended:
                         reasons.append(
                             f"shard {index}: durability suspended on "
@@ -1154,20 +1082,16 @@ class ShardedAdvisorService:
             shard = conns[conn]
             try:
                 message = conn.recv()
-            except (EOFError, OSError):
-                # Clean EOF (worker exited) or a send torn by
-                # SIGKILL; either way this pipe is done — the reap
+            except Exception:
+                # Clean EOF (worker exited), a send torn by SIGKILL or a
+                # torn pickle; either way this pipe is done — the reap
                 # pass below decides whether to respawn.
                 with self._lock:
                     self._eof.add(shard)
                 continue
-            except Exception:  # torn pickle mid-SIGKILL
-                with self._lock:
-                    self._eof.add(shard)
-                continue
-            # Any message — ack, reply, stopped, or idle beat — proves
-            # the worker is making progress: stamp its liveness lease
-            # and arm hang detection for it.
+            # Any message — answer, stopped, or idle beat — proves the
+            # worker is making progress: stamp its liveness lease and
+            # arm hang detection for it.
             self._last_seen[shard] = time.monotonic()
             self._heard_from.add(shard)
             self._handle_message(message)
@@ -1176,28 +1100,25 @@ class ShardedAdvisorService:
         return True
 
     def _handle_message(self, message) -> None:
+        # An idle "beat" only renews the lease, which _collect_once
+        # already did.
         kind = message[0]
         with self._wake:
-            if kind == "ack":
-                _, shard, chunk_id, done_t, events, decisions = message
-                entry = self._in_flight[shard].pop(chunk_id, None)
+            if kind == "done":
+                _, shard, request_id, done_t, answer = message
+                self._head_crashes[shard].pop(request_id, None)
+                entry = self._in_flight[shard].pop(request_id, None)
                 if entry is not None:
-                    _command, submit_t, _events = entry
-                    self._latencies.append((max(0.0, done_t - submit_t), events))
-                    self._acked_chunks[shard] += 1
-                    self._acked_events[shard] += events
-                # Forward progress: the worker is not crash-looping, and
-                # this chunk is exonerated of any past crash suspicion.
-                self._consecutive_crashes[shard] = 0
-                self._head_crashes[shard].pop(chunk_id, None)
-                if decisions is not None:
-                    self._decisions[chunk_id] = decisions
-            elif kind == "beat":
-                pass  # liveness only; _collect already stamped the lease
-            elif kind == "reply":
-                _, _shard, request_id, payload = message
-                if self._pending_controls.pop(request_id, None) is not None:
-                    self._replies[request_id] = payload
+                    command, submit_t, events = entry
+                    if command[3]:
+                        self._results[request_id] = answer
+                    if command[1] == "chunk":
+                        # Forward progress: the worker is not
+                        # crash-looping.
+                        self._consecutive_crashes[shard] = 0
+                        self._latencies.append((max(0.0, done_t - submit_t), events))
+                        self._acked_chunks[shard] += 1
+                        self._acked_events[shard] += events
             elif kind == "stopped":
                 self._stopped.add(message[1])
             elif kind == "error":
@@ -1208,12 +1129,12 @@ class ShardedAdvisorService:
     def _check_hangs(self) -> None:
         """SIGKILL workers that are alive, busy, and silent past deadline.
 
-        "Busy" means holding in-flight chunks or pending control
-        requests — an idle worker beats every ``_beat_every`` seconds,
-        so silence while busy past ``hang_timeout`` means the worker is
-        deadlocked, SIGSTOPped, or livelocked and will never ack.  The
-        kill turns the hang into an ordinary worker death: the normal
-        reap/respawn/redeliver machinery takes it from there.
+        "Busy" means holding in-flight commands — an idle worker beats
+        every ``_beat_every`` seconds, so silence while busy past
+        ``hang_timeout`` means the worker is deadlocked, SIGSTOPped, or
+        livelocked and will never answer.  The kill turns the hang into
+        an ordinary worker death: the normal reap/respawn/redeliver
+        machinery takes it from there.
         """
         if self.hang_timeout is None:
             return
@@ -1231,11 +1152,7 @@ class ShardedAdvisorService:
             with self._lock:
                 if shard in self.breaker_open or shard in self._stopped:
                     continue
-                busy = bool(self._in_flight[shard]) or any(
-                    owner == shard
-                    for owner, _command in self._pending_controls.values()
-                )
-                if not busy:
+                if not self._in_flight[shard]:
                     continue
                 self.hangs[shard] += 1
                 # Re-stamp the lease so one hang is one kill: the reap
@@ -1283,15 +1200,15 @@ class ShardedAdvisorService:
     def _note_death(self, shard: int) -> bool:
         """Classify one worker death; True when a respawn is due.
 
-        The dead worker's pipe is drained first: acks it managed to
+        The dead worker's pipe is drained first: answers it managed to
         send shrink the redelivery set *and* pin crash attribution to
-        the chunk it actually died on (the head of the in-flight queue
-        after the drain).  Then, in order: a clean SIGTERM handoff
-        respawns immediately; a reported error stays down; a crash is
-        attributed, quarantines its head chunk at ``poison_budget``
-        repeats, opens the circuit breaker at ``restart_budget``
-        consecutive crashes, and otherwise schedules a backed-off
-        respawn.
+        the command it actually died on (the head of the in-flight
+        ledger after the drain, chunk or control request alike).  Then,
+        in order: a clean SIGTERM handoff respawns immediately; a
+        reported error stays down; a crash is attributed, quarantines
+        its head command at ``poison_budget`` repeats, opens the circuit
+        breaker at ``restart_budget`` consecutive crashes, and otherwise
+        schedules a backed-off respawn.
         """
         conn = self._pipes[shard]
         try:
@@ -1326,7 +1243,7 @@ class ShardedAdvisorService:
                 )
                 head_crashes = self._head_crashes[shard][head]
         if head is not None and head_crashes >= self.poison_budget:
-            self._quarantine_chunk(shard, head, head_crashes)
+            self._quarantine(shard, head, head_crashes)
             with self._lock:
                 crashes = self._consecutive_crashes[shard]
         if crashes >= self.restart_budget:
@@ -1342,38 +1259,40 @@ class ShardedAdvisorService:
         self._respawn_at[shard] = time.monotonic() + delay
         return True
 
-    def _quarantine_chunk(self, shard: int, chunk_id: int, crashes: int) -> None:
-        """Skip a poison chunk: sidecar it with provenance, keep serving.
+    def _quarantine(self, shard: int, request_id: int, crashes: int) -> None:
+        """Skip a poison command: sidecar it with provenance, keep serving.
 
         The shard-tier mirror of the validation layer's quarantine
-        files: the sidecar record carries the raw lines plus everything
-        needed to investigate or replay (shard, crash count, the pid
-        that died on it, the shard's restart count).  Quarantining
-        resets the consecutive-crash counter — the presumed cause is
-        gone, so the shard gets a fresh restart budget for the rest of
-        its traffic.
+        files: the sidecar record carries the command kind and a
+        chunk's raw lines, plus everything needed to investigate or
+        replay (shard, crash count, the pid that died on it, the
+        shard's restart count).  Its caller, if one waits, gets a
+        ``None`` answer.  Quarantining resets the consecutive-crash
+        counter — the presumed cause is gone, so the shard gets a fresh
+        restart budget for the rest of its traffic.
         """
         with self._lock:
-            entry = self._in_flight[shard].pop(chunk_id, None)
-            self._head_crashes[shard].pop(chunk_id, None)
+            entry = self._in_flight[shard].pop(request_id, None)
+            self._head_crashes[shard].pop(request_id, None)
             self._consecutive_crashes[shard] = 0
-            if entry is None:  # pragma: no cover - raced an ack
+            if entry is None:  # pragma: no cover - raced an answer
                 return
-            command, _submit_t, events = entry
+            (_, kind, arg, want), _submit_t, events = entry
             process = self._procs[shard]
             record = {
-                "chunk": chunk_id,
+                "chunk": request_id,
+                "command": kind,
                 "shard": shard,
                 "crashes": crashes,
                 "events": events,
                 "worker_pid": None if process is None else process.pid,
                 "restarts": self.restarts[shard],
-                "lines": list(command[2]),
+                "lines": list(arg) if kind == "chunk" else [],
             }
             self.quarantined_chunks += 1
             self.quarantined_events += events
-            if command[3]:  # want_decisions: unblock request_lines waiters
-                self._decisions[chunk_id] = [None] * len(command[2])
+            if want:
+                self._results[request_id] = None
             self._wake.notify_all()
         try:
             with open(self._poison_path, "a") as handle:
@@ -1388,7 +1307,7 @@ class ShardedAdvisorService:
             ledger.emit(
                 "shard-poison-quarantine",
                 shard=shard,
-                chunk=chunk_id,
+                chunk=request_id,
                 crashes=crashes,
                 events=events,
             )
@@ -1396,32 +1315,26 @@ class ShardedAdvisorService:
     def _open_breaker(self, shard: int, crashes: int) -> None:
         """Hold a crash-looping shard down; shed its traffic with count.
 
-        Everything the shard held is released so no caller blocks on a
-        worker that will never come back: in-flight chunks are shed
-        (counted in ``breaker_shed_by_shard``, ``None`` decisions for
-        request/response waiters) and pending control requests get
-        ``None`` replies.  The breaker stays open for the life of the
+        Everything the shard held is released in one sweep of its
+        in-flight ledger, so no caller blocks on a worker that will
+        never come back: chunk events are shed (counted in
+        ``breaker_shed_by_shard``) and every waiting caller gets a
+        ``None`` answer.  The breaker stays open for the life of the
         service — after ``restart_budget`` consecutive crashes with no
-        single chunk to blame, respawning again would just burn CPU.
+        single command to blame, respawning again would just burn CPU.
         """
         shed_events = 0
         with self._lock:
             self.breaker_open.add(shard)
-            for chunk_id, (command, _submit_t, events) in sorted(
-                self._in_flight[shard].items()
-            ):
+            for request_id, (command, _submit_t, events) in self._in_flight[
+                shard
+            ].items():
                 shed_events += events
                 if command[3]:
-                    self._decisions[chunk_id] = [None] * len(command[2])
+                    self._results[request_id] = None
             self._in_flight[shard].clear()
             self._head_crashes[shard].clear()
             self.breaker_shed_by_shard[shard] += shed_events
-            for request_id, (owner, _command) in list(
-                self._pending_controls.items()
-            ):
-                if owner == shard:
-                    del self._pending_controls[request_id]
-                    self._replies[request_id] = None
             self._wake.notify_all()
         ledger = active_ledger() or self._ledger
         if ledger is not None:
@@ -1452,11 +1365,6 @@ class ShardedAdvisorService:
                 self.restarts[shard] += 1
                 self._eof.discard(shard)
                 redeliver = sorted(self._in_flight[shard].items())
-                controls = sorted(
-                    (request_id, command)
-                    for request_id, (owner, command) in self._pending_controls.items()
-                    if owner == shard
-                )
                 stop_again = shard in self._stop_sent
                 pid = self._procs[shard].pid
             ledger = active_ledger() or self._ledger
@@ -1470,14 +1378,11 @@ class ShardedAdvisorService:
             # At-least-once redelivery in original dispatch order; the
             # sessions' idempotent event ids absorb anything the dead
             # worker had already applied and made durable.
-            for _chunk_id, (command, _submit_t, _events) in redeliver:
+            for _request_id, (command, _submit_t, _events) in redeliver:
                 if not self._put_alive(shard, command):
                     return  # died again already; the next reap retries
-            for _request_id, command in controls:
-                if not self._put_alive(shard, command):
-                    return
             if stop_again:
-                self._put_alive(shard, ("stop",))
+                self._put_alive(shard, None)
         old_pipe.close()
         old_commands.close()
         old_commands.cancel_join_thread()
@@ -1495,9 +1400,9 @@ class ShardedAdvisorService:
     # -- shutdown ---------------------------------------------------------
 
     def close(self, timeout: float = 120.0) -> None:
-        """Graceful fleet drain: every worker flushes WAL + snapshots.
+        """Graceful fleet drain: every shard flushes WAL + snapshots.
 
-        Sends ``("stop",)`` behind all queued work on every shard; a
+        Each worker gets the stop sentinel behind all queued work; a
         worker that dies mid-shutdown is respawned (recovering its
         shard) and re-stopped, so even a close raced by a SIGKILL
         leaves every shard durable and unlocked.  Breaker-open shards
@@ -1506,8 +1411,8 @@ class ShardedAdvisorService:
         """
         if not self.worker_mode:
             with self._lock:
-                if not self._closed:
-                    self._closed = True
+                if not self._shutdown:
+                    self._shutdown = True
                     for service in self._inline:
                         service.close()
             return
@@ -1519,7 +1424,7 @@ class ShardedAdvisorService:
         if not already_failed:
             for shard in range(self.shards):
                 try:
-                    self._put(shard, ("stop",))
+                    self._send(shard, None)
                 except ReproError:
                     break
             deadline = time.monotonic() + timeout

@@ -126,6 +126,19 @@ class TestRecovery:
             assert recovered.applied == 9
             assert recovered.trust_learner.to_state() == TrustLearner().to_state()
 
+    def test_plain_config_refuses_augmented_state_naming_the_vehicle(self):
+        # The reverse direction would drop the learners: a restart or a
+        # promotion that forgot the augmented flags must fail instead.
+        with tempfile.TemporaryDirectory() as tmp:
+            state_dir = Path(tmp) / "root"
+            augmented = AugmentedAdvisorSession("veh-7", AUG_CONFIG, state_dir)
+            for event_id, timestamp, stop_length in EVENTS[:9]:
+                augmented.submit(event_id, timestamp, stop_length)
+            augmented.compact()
+            del augmented
+            with pytest.raises(InvalidParameterError, match="'veh-7'"):
+                AdvisorSession("veh-7", SessionConfig(**BASE), state_dir)
+
 
 class TestSafeParity:
     def test_safe_is_byte_identical_to_the_plain_session(self):

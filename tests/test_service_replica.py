@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.engine.faults import FsFault, FsFaultInjector, NetFault, NetFaultInjector
 from repro.service.advisor import AdvisorService
+from repro.service.augmented import TrustLearner
 from repro.service.replica import (
     LocalReplicaTarget,
     RemoteReplicaTarget,
@@ -618,6 +619,34 @@ class TestCliRoundTrip:
         ]) == 1
         captured = capsys.readouterr()
         assert "backup-corrupt" in captured.out
+
+    def test_promote_keeps_a_learning_augmented_fleet(self, tmp_path, capsys):
+        """``promote --predictor contextual`` continues an augmented
+        primary bit-identically, and its compaction keeps the learners."""
+        from repro import cli
+        from repro.service import AugmentedSessionConfig
+        from repro.service.wal import SnapshotStore
+
+        config = AugmentedSessionConfig(break_even=28.0, predictor="contextual")
+        events = build_fleet_events(vehicles=3, stops_per_vehicle=40, seed=5)
+        primary = tmp_path / "primary"
+        snapshot = _serve_registered(events, primary, config=config, close=False)
+        digests = _digests(snapshot)
+
+        assert cli.main(["promote", str(primary), "--predictor", "contextual"]) == 0
+        out = capsys.readouterr().out
+        for vehicle, digest in digests.items():
+            assert f"{vehicle}  {digest}" in out
+        states = SnapshotStore(primary / "snapshot.json").load()
+        assert sorted(states) == sorted(digests)
+        for state in states.values():
+            assert state["augmented"]["predictor"]["global"][0] == 40
+            assert state["augmented"]["trust"] != TrustLearner().to_state()
+        service = AdvisorService(primary, config)
+        try:
+            assert _digests(service.health_snapshot()) == digests
+        finally:
+            service.close()
 
     def test_replicate_argument_validation(self, tmp_path, capsys):
         from repro import cli

@@ -300,7 +300,6 @@ def _fake_tier(process):
         restarts=[0],
         _eof=set(),
         _in_flight=[{}],
-        _pending_controls={},
         _stop_sent=set(),
         _ledger=None,
     )

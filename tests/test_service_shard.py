@@ -441,6 +441,68 @@ def test_a_put_waiting_on_a_full_queue_leaves_the_shard_lock_free(tmp_path):
     assert digests == digests_single
 
 
+def test_a_control_request_in_flight_when_its_worker_dies_is_redelivered(tmp_path):
+    """Health and digests requests queued at a frozen worker stay in
+    flight through its SIGKILL: the respawned worker answers both, from
+    the recovered shard."""
+    lines = [json.dumps(event) for event in build_fleet_events(3, 6, seed=23)]
+    _, digests_single, _ = _single_reference(tmp_path, lines)
+    service = ShardedAdvisorService(
+        tmp_path / "fleet", CONFIG, shards=1, hang_timeout=None
+    )
+    try:
+        service.request_lines(lines, timeout=120.0)
+        pid = service.worker_pids[0]
+        os.kill(pid, signal.SIGSTOP)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            digests = pool.submit(service.digests, 120.0)
+            health = pool.submit(service.health_snapshot, False, 120.0)
+            time.sleep(0.5)
+            assert not digests.done() and not health.done()
+            os.kill(pid, signal.SIGKILL)
+            digests = digests.result(timeout=120.0)
+            health = health.result(timeout=120.0)
+    finally:
+        service.close()
+    assert digests == digests_single
+    assert health["routing"]["restarts"] == 1
+
+
+@pytest.mark.parametrize("workers", [False, True], ids=["in-process", "workers"])
+def test_tier_readiness_gates_on_replication_lag(tmp_path, workers):
+    """A tier built with a ReplicationMonitor: /ready is not ready while
+    the standby lags past the bound, and /health carries the lag."""
+    from repro.service.replica import ReplicationMonitor
+
+    events = build_fleet_events(vehicles=3, stops_per_vehicle=4, seed=27)
+    standby = tmp_path / "standby"
+    standby.mkdir()
+    service = ShardedAdvisorService(
+        tmp_path / "fleet",
+        CONFIG,
+        shards=2,
+        workers=workers,
+        replication=ReplicationMonitor(tmp_path / "fleet", standby, max_lag=0),
+    )
+    try:
+        service.request_lines([json.dumps(event) for event in events], timeout=120.0)
+        verdict = service.readiness(timeout=60.0)
+        snapshot = service.health_snapshot(timeout=60.0)
+    finally:
+        service.close()
+    assert not verdict["ready"]
+    assert [
+        reason
+        for reason in verdict["reasons"]
+        if re.fullmatch(r"replication lag \d+ events exceeds bound 0 \(3 .*\)", reason)
+    ], verdict["reasons"]
+    assert verdict["replication"]["max_lag_bound"] == 0
+    replication = snapshot["replication"]
+    assert replication["vehicles_lagging"] == 3
+    assert replication["within_bound"] is False
+    assert sorted(replication["vehicles"]) == sorted({e["vehicle"] for e in events})
+
+
 @pytest.mark.slow
 def test_worker_sigkill_chaos_recovers_bit_identically(tmp_path):
     """SIGKILL a live worker mid-stream: the fleet keeps serving, the
