@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, optimize
 
 from ..distributions.base import StopLengthDistribution
 from ..distributions.discrete import DiscreteStopDistribution
@@ -103,6 +102,8 @@ def expected_online_cost(
     if atoms is not None:
         values, probabilities = atoms
         return float((strategy.expected_cost_vec(values) * probabilities).sum())
+    from scipy import integrate
+
     short_part, _ = integrate.quad(
         lambda y: strategy.expected_cost(y) * distribution.pdf(y), 0.0, b, limit=200
     )
@@ -146,6 +147,8 @@ def expected_cr_prime(
         probabilities = probabilities / probabilities.sum()
         ratios = strategy.expected_cost_vec(values) / offline_cost_vec(values, b)
         return float((ratios * probabilities).sum())
+    from scipy import integrate
+
     short_part, _ = integrate.quad(
         lambda y: strategy.expected_cost(y) / min(y, b) * distribution.pdf(y),
         0.0,
@@ -243,6 +246,8 @@ def worst_case_expected_cost(
     long_part = stats.q_b_plus * strategy.expected_cost(b)
     if short_mass <= 1e-15:
         return long_part
+    from scipy import optimize
+
     result = optimize.linprog(
         c=-h,  # maximize
         A_eq=np.vstack([np.ones_like(grid), grid]),
@@ -295,6 +300,8 @@ def worst_case_cr_prime(
     long_part = stats.q_b_plus * strategy.expected_cost(b) / b
     if short_mass <= 1e-15:
         return long_part
+    from scipy import optimize
+
     result = optimize.linprog(
         c=-ratios,
         A_eq=np.vstack([np.ones_like(grid), grid]),

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..distributions.base import StopLengthDistribution
 from ..errors import InvalidParameterError
@@ -84,6 +83,8 @@ def optimal_threshold(
     lo = grid[max(0, best_index - 1)]
     hi = grid[min(grid.size - 1, best_index + 1)]
     if hi > lo:
+        from scipy import optimize
+
         result = optimize.minimize_scalar(cost, bounds=(lo, hi), method="bounded")
         interior_x, interior_cost = float(result.x), float(result.fun)
         if costs[best_index] < interior_cost:

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..constants import E
 from ..errors import DegenerateStatisticsError, InvalidParameterError
@@ -192,6 +191,8 @@ def optimal_beta(stats: StopStatistics) -> float:
     # Bracket below the root: g(t) = e^t - 1 - t ~ t^2/2 for small t, so
     # t_lo = 0.1 sqrt(ratio) gives g(t_lo) ~ ratio/200 < ratio.
     t_lo = min(0.1 * math.sqrt(ratio), 0.5)
+    from scipy import optimize
+
     t_star = optimize.brentq(
         lambda t: math.expm1(t) - t - ratio, t_lo, 1.0, xtol=1e-14
     )

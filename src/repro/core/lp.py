@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..constants import E
 from ..errors import SolverError
@@ -99,6 +98,8 @@ def solve_lp(stats: StopStatistics) -> LPSolution:
     else:
         c = np.array([coefficients.k_alpha, coefficients.k_beta, 0.0])
         bounds = [(0.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
+    from scipy import optimize
+
     result = optimize.linprog(
         c=c,
         A_ub=np.array([[1.0, 1.0, 1.0]]),

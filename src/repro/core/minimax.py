@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import DegenerateStatisticsError, InvalidParameterError, SolverError
 from .costs import validate_break_even
@@ -99,6 +98,8 @@ def _solve_dual_lp(
     a_eq = np.concatenate([np.ones(n), np.zeros(k)])[None, :]
     b_eq = np.array([1.0])
     bounds = [(0.0, None)] * n + [(None, None)] * k
+    from scipy import optimize
+
     result = optimize.linprog(
         c=c_vec,
         A_ub=a_ub,

@@ -39,7 +39,6 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from ..errors import InvalidParameterError
 from .costs import validate_break_even, validate_stop_length
@@ -200,6 +199,8 @@ class ContinuousRandomizedStrategy(Strategy):
             return 0.0
         if t >= self.support_hi:
             return 1.0
+        from scipy import integrate
+
         value, _ = integrate.quad(self.pdf, self.support_lo, t)
         return min(1.0, max(0.0, value))
 
@@ -209,6 +210,8 @@ class ContinuousRandomizedStrategy(Strategy):
         y = min(float(stop_length), self.support_hi)
         if y <= self.support_lo:
             return 0.0
+        from scipy import integrate
+
         value, _ = integrate.quad(
             lambda x: (x + self.break_even) * self.pdf(x), self.support_lo, y
         )
@@ -251,6 +254,8 @@ class ContinuousRandomizedStrategy(Strategy):
         upper = min(y, self.support_hi)
         restart_part = 0.0
         if upper > self.support_lo:
+            from scipy import integrate
+
             restart_part, _ = integrate.quad(
                 lambda x: (x + self.break_even) ** 2 * self.pdf(x),
                 self.support_lo,
@@ -271,6 +276,8 @@ class ContinuousRandomizedStrategy(Strategy):
             return self.support_lo
         if u >= 1.0:
             return self.support_hi
+        from scipy import optimize
+
         return float(
             optimize.brentq(
                 lambda x: self.cdf(x) - u, self.support_lo, self.support_hi, xtol=1e-12
@@ -293,6 +300,8 @@ class ContinuousRandomizedStrategy(Strategy):
 
     def mean_threshold(self) -> float:
         """Expected threshold ``E[x]``; default uses quadrature."""
+        from scipy import integrate
+
         value, _ = integrate.quad(
             lambda x: x * self.pdf(x), self.support_lo, self.support_hi
         )

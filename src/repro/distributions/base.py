@@ -24,7 +24,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy import integrate
 
 from ..errors import InvalidDistributionError
 
@@ -72,6 +71,8 @@ class StopLengthDistribution(ABC):
         """
         if upper <= 0.0:
             return 0.0
+        from scipy import integrate
+
         value, _ = integrate.quad(lambda y: y * self.pdf(y), 0.0, upper, limit=200)
         return value
 
@@ -81,6 +82,8 @@ class StopLengthDistribution(ABC):
         Default: ``∫₀^∞ survival(y) dy`` by quadrature — robust for
         heavy-tailed distributions with finite mean.
         """
+        from scipy import integrate
+
         value, _ = integrate.quad(self.survival, 0.0, np.inf, limit=200)
         return value
 

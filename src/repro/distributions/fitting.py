@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from ..errors import InvalidParameterError
 
@@ -65,6 +64,8 @@ def ks_test_exponential(
     mean = float(y.mean())
     if mean <= 0.0:
         raise InvalidParameterError("sample mean must be positive to fit an exponential")
+    from scipy import stats as sps
+
     statistic, p_value = sps.kstest(y, "expon", args=(0.0, mean))
     return KSResult(
         statistic=float(statistic),
@@ -100,6 +101,8 @@ def moment_summary(stop_lengths, policy=None, report=None) -> dict:
     y = _clean(stop_lengths, policy, report, "moment-summary")
     if y.size < 2:
         raise InvalidParameterError("need at least 2 stops for a moment summary")
+    from scipy import stats as sps
+
     return {
         "count": int(y.size),
         "mean": float(y.mean()),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sps
 
 from ..errors import InvalidParameterError
 from .base import StopLengthDistribution
@@ -73,6 +72,8 @@ class Exponential(ScipyDistribution):
         m = float(mean)
         if m <= 0.0:
             raise InvalidParameterError(f"mean must be > 0, got {mean!r}")
+        from scipy import stats as sps
+
         super().__init__(sps.expon(scale=m), name=f"Exponential(mean={m:g})")
         self._mean = m
 
@@ -93,6 +94,8 @@ class Uniform(ScipyDistribution):
             raise InvalidParameterError(
                 f"uniform support must satisfy 0 <= low < high, got [{low}, {high}]"
             )
+        from scipy import stats as sps
+
         super().__init__(sps.uniform(loc=lo, scale=hi - lo), name=f"Uniform[{lo:g}, {hi:g}]")
         self._low, self._high = lo, hi
 
@@ -112,6 +115,8 @@ class LogNormal(ScipyDistribution):
         s = float(sigma)
         if s <= 0.0:
             raise InvalidParameterError(f"sigma must be > 0, got {sigma!r}")
+        from scipy import stats as sps
+
         super().__init__(
             sps.lognorm(s=s, scale=math.exp(float(mu))),
             name=f"LogNormal(mu={float(mu):g}, sigma={s:g})",
@@ -124,6 +129,8 @@ class LogNormal(ScipyDistribution):
             return 0.0
         mu, s = self._mu, self._sigma
         z = (math.log(upper) - mu - s * s) / s
+        from scipy import stats as sps
+
         return math.exp(mu + 0.5 * s * s) * float(sps.norm.cdf(z))
 
 
@@ -136,6 +143,8 @@ class Weibull(ScipyDistribution):
             raise InvalidParameterError(
                 f"Weibull shape and scale must be > 0, got shape={shape!r}, scale={scale!r}"
             )
+        from scipy import stats as sps
+
         super().__init__(
             sps.weibull_min(c=k, scale=lam), name=f"Weibull(shape={k:g}, scale={lam:g})"
         )
@@ -152,6 +161,8 @@ class Pareto(ScipyDistribution):
             raise InvalidParameterError(
                 f"Pareto alpha and scale must be > 0, got alpha={alpha!r}, scale={scale!r}"
             )
+        from scipy import stats as sps
+
         super().__init__(sps.lomax(c=a, scale=m), name=f"Pareto(alpha={a:g}, scale={m:g})")
         self._alpha, self._scale = a, m
 

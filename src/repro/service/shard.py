@@ -67,6 +67,7 @@ import signal
 import threading
 import time
 import traceback
+from collections import deque
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 
@@ -97,6 +98,9 @@ _BACKOFF_CAP_S = 5.0
 #: Poison-chunk quarantine sidecar (JSONL, parent-side, with provenance
 #: — the shard-tier mirror of the validation layer's quarantine files).
 POISON_SIDECAR_NAME = "poison.quarantine.jsonl"
+#: Per-chunk latency samples kept for :meth:`take_latencies`; older
+#: samples are dropped, so a tier nobody drains holds a bounded window.
+_LATENCY_SAMPLES = 4096
 
 
 def parallel_headroom() -> int:
@@ -538,7 +542,7 @@ class ShardedAdvisorService:
         self._next_id = 0
         self._in_flight: list[dict[int, tuple]] = [{} for _ in range(self.shards)]
         self._results: dict[int, object] = {}
-        self._latencies: list[tuple[float, int]] = []
+        self._latencies: deque[tuple[float, int]] = deque(maxlen=_LATENCY_SAMPLES)
         self._acked_chunks = [0] * self.shards
         self._acked_events = [0] * self.shards
         self._stop_sent: set[int] = set()
@@ -716,21 +720,40 @@ class ShardedAdvisorService:
 
     def _ask(self, kind: str, requests, timeout: float | None) -> list:
         """Send one ``kind`` command per ``(shard, arg)`` and wait for
-        the answers, in the same order."""
-        request_ids = [self._request(shard, kind, arg) for shard, arg in requests]
+        the answers, in the same order.
+
+        A caller that gives up (timeout, failed tier) collects nothing
+        more, so its answers are dropped: those that arrived leave the
+        result map, and commands still in flight are marked unwanted,
+        so their late answers are never stored.  They stay in flight
+        for redelivery like any other command.
+        """
+        sent = [(shard, self._request(shard, kind, arg)) for shard, arg in requests]
         deadline = None if timeout is None else time.monotonic() + timeout
         answers = []
         with self._wake:
-            for request_id in request_ids:
-                while request_id not in self._results:
-                    self._raise_errors_locked()
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"no answer to {kind} request {request_id} "
-                            f"within {timeout}s"
+            try:
+                for _shard, request_id in sent:
+                    while request_id not in self._results:
+                        self._raise_errors_locked()
+                        if deadline is not None and time.monotonic() > deadline:
+                            raise TimeoutError(
+                                f"no answer to {kind} request {request_id} "
+                                f"within {timeout}s"
+                            )
+                        self._wake.wait(0.2)
+                    answers.append(self._results.pop(request_id))
+            finally:
+                for shard, request_id in sent[len(answers) :]:
+                    self._results.pop(request_id, None)
+                    entry = self._in_flight[shard].get(request_id)
+                    if entry is not None:
+                        command, submit_t, events = entry
+                        self._in_flight[shard][request_id] = (
+                            command[:3] + (False,),
+                            submit_t,
+                            events,
                         )
-                    self._wake.wait(0.2)
-                answers.append(self._results.pop(request_id))
         return answers
 
     def _request(self, shard: int, kind: str, arg, want: bool = True) -> int:
@@ -818,14 +841,16 @@ class ShardedAdvisorService:
     # -- observability ----------------------------------------------------
 
     def take_latencies(self) -> list[tuple[float, int]]:
-        """Drain the accumulated per-chunk ``(latency_s, events)`` samples.
+        """Drain the newest per-chunk ``(latency_s, events)`` samples (at
+        most ``_LATENCY_SAMPLES``).
 
         Latency is dispatch-to-worker-answer wall time — the worst case
         an event in the chunk waited for its decision (queueing
         included).  In-process shards record none.
         """
         with self._lock:
-            latencies, self._latencies = self._latencies, []
+            latencies = list(self._latencies)
+            self._latencies.clear()
         return latencies
 
     def digests(self, timeout: float | None = None) -> dict[str, str]:

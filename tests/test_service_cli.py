@@ -3,9 +3,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.constants import B_SSV
 from repro.engine import RunLedger
@@ -254,3 +258,70 @@ class TestFaultClaimSweep:
         assert "swept 1 stale claim(s)" in out
         assert not (claims / "deadbeef.0").exists()
         assert (claims / "cafebabe.0").exists()
+
+
+#: Runs in a fresh interpreter (the test process has scipy loaded by
+#: other tests): every serving entry point, then whatever scipy modules
+#: they left in ``sys.modules``, one per line.
+_SERVING_PATH = """
+import sys
+import repro.cli, repro.service, repro.service.shard, repro.service.replica
+
+root, first, second = sys.argv[1:]
+augmented = ["--predictor", "contextual", "--cvar-alpha", "0.2", "--cvar-cap", "3"]
+for name, flags in (
+    ("plain", []),
+    ("det", ["--safe-strategy", "det"]),
+    ("augmented", augmented),
+):
+    for events in (first, second):  # the second run recovers warm
+        code = repro.cli.main([
+            "serve", events, "--state-dir", f"{root}/{name}",
+            "--snapshot-every", "5", *flags,
+        ])
+        assert code == 0, (name, code)
+assert repro.cli.main([
+    "replicate", f"{root}/augmented", "--standby", f"{root}/standby",
+    "--passes", "1", "--interval", "0",
+]) == 0
+assert repro.cli.main([
+    "promote", f"{root}/standby", "--snapshot-every", "5", *augmented,
+]) == 0
+for name in sorted(sys.modules):
+    if name == "scipy" or name.startswith("scipy."):
+        print(name)
+"""
+
+
+class TestServingPathImports:
+    def test_serving_loads_no_scipy(self, tmp_path):
+        # Serving is closed form per vehicle, so neither importing the
+        # serving entry points nor serving, recovering, shipping and
+        # promoting may load scipy: it would cost every serve parent,
+        # shard worker and replicate ~1 s of start-up.
+        events = build_fleet_events(vehicles=4, stops_per_vehicle=30, seed=13)
+        lines = [json.dumps(event) for event in events]
+        lines[7:7] = ["{not json", json.dumps(dict(events[3], id="neg", stop=-1.0))]
+        lines[70:70] = ['{"id": "no-vehicle", "t": 1.0, "stop": 5.0}']
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        first.write_text("".join(line + "\n" for line in lines[:60]))
+        second.write_text("".join(line + "\n" for line in lines[60:]))
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-c", _SERVING_PATH,
+                str(tmp_path / "state"), str(first), str(second),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "promoted" in result.stdout
+        loaded = [
+            line for line in result.stdout.splitlines() if line.startswith("scipy")
+        ]
+        assert loaded == []

@@ -468,6 +468,60 @@ def test_a_control_request_in_flight_when_its_worker_dies_is_redelivered(tmp_pat
     assert health["routing"]["restarts"] == 1
 
 
+def test_a_timed_out_request_leaves_no_answer_behind(tmp_path):
+    """A caller that timed out never collects its answer, so the late
+    answer must not stay in the result map for the life of the tier;
+    the next request still gets the right decisions."""
+    lines = [json.dumps(event) for event in build_fleet_events(2, 6, seed=29)]
+    decisions_single, digests_single, _ = _single_reference(tmp_path, lines)
+    service = ShardedAdvisorService(
+        tmp_path / "fleet", CONFIG, shards=1, hang_timeout=None
+    )
+    try:
+        assert service.request_lines(lines[:1], timeout=120.0) == decisions_single[:1]
+        pid = service.worker_pids[0]
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            with pytest.raises(TimeoutError):
+                service.request_lines(lines[1:3], timeout=0.3)
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        service.drain(timeout=120.0)
+        orphans = dict(service._results)
+        rest = service.request_lines(lines[3:], timeout=120.0)
+        digests = service.digests(timeout=120.0)
+        leftover = dict(service._results)
+    finally:
+        service.close()
+    assert orphans == {}
+    assert rest == decisions_single[3:]
+    assert digests == digests_single
+    assert leftover == {}
+
+
+def test_latency_samples_keep_only_the_newest(tmp_path, monkeypatch):
+    """The tier keeps a bounded window of per-chunk latency samples:
+    more chunks than the cap leave exactly the cap, the newest ones."""
+    monkeypatch.setattr("repro.service.shard._LATENCY_SAMPLES", 3)
+    lines = [json.dumps(event) for event in build_fleet_events(2, 6, seed=31)]
+    service = ShardedAdvisorService(
+        tmp_path / "fleet", CONFIG, shards=1, hang_timeout=None
+    )
+    try:
+        start = 0
+        for size in range(1, 5):  # four chunks of 1, 2, 3 and 4 lines
+            service.request_lines(lines[start : start + size], timeout=120.0)
+            start += size
+        held = len(service._latencies)
+        samples = service.take_latencies()
+        after = service.take_latencies()
+    finally:
+        service.close()
+    assert held == 3
+    assert [events for _latency, events in samples] == [2, 3, 4]
+    assert after == []
+
+
 @pytest.mark.parametrize("workers", [False, True], ids=["in-process", "workers"])
 def test_tier_readiness_gates_on_replication_lag(tmp_path, workers):
     """A tier built with a ReplicationMonitor: /ready is not ready while
