@@ -56,7 +56,7 @@ import zlib
 from pathlib import Path
 
 from ..engine.faults import owner_alive, pid_alive
-from ..errors import ReproError
+from ..errors import InvalidParameterError, ReproError
 from .advisor import AdvisorService
 from .frontend import parse_listen
 from .shard import SHARD_LOCK_NAME, ShardLockError, acquire_shard_lock, release_shard_lock
@@ -81,6 +81,7 @@ __all__ = [
     "ReplicationError",
     "ReplicationMonitor",
     "backup",
+    "check_layout",
     "durable_summary",
     "fleet_doctor",
     "promote",
@@ -129,6 +130,30 @@ def service_roots(state_dir: str | Path) -> list[tuple[str, Path]]:
     state_dir = Path(state_dir)
     shards = sorted(path for path in state_dir.glob("shard-*") if path.is_dir())
     return [(path.name, path) for path in shards] or [("", state_dir)]
+
+
+def check_layout(state_dir: Path, roots: list[Path]) -> None:
+    """Refuse ``state_dir`` unless it is empty or its roots are ``roots``.
+
+    The layout names the shard count that wrote it (the rule of
+    :func:`service_roots`): root files at the top mean one shard,
+    ``shard-NN/`` dirs give their number, and both are refused.  Another
+    count would route vehicles away from the roots holding their state.
+    """
+    found = [path for key, path in service_roots(state_dir) if key]
+    top = [name for name in ROOT_FILES if (state_dir / name).exists()]
+    if found and top:
+        raise InvalidParameterError(
+            f"{state_dir} holds both root files and shard dirs: it was "
+            "written by more than one shard count"
+        )
+    found = found or ([state_dir] if top else [])
+    if found and set(found) != set(roots):
+        raise InvalidParameterError(
+            f"{state_dir} was written by {len(found)} shard(s), with state in "
+            f"{', '.join(map(str, found))}; a {len(roots)}-shard tier reads "
+            f"{', '.join(map(str, roots))}: serve it with the count that wrote it"
+        )
 
 
 def _rel(key: str, name: str) -> str:

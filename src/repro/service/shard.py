@@ -263,17 +263,21 @@ def sweep_stale_shard_locks(root: str | Path) -> list[str]:
 # -- one shard's answers ---------------------------------------------------
 
 
-def _answer(service: AdvisorService, kind: str, arg):
-    """One shard's answer to one command, computed over its service.
+def _answer(service: AdvisorService, kind: str, arg, want: bool):
+    """One shard's answer to one command, computed over its service, or
+    None when no caller wants it.
 
     Both transports run this: an in-process shard calls it from the
     caller's thread, a worker process from its command loop.  ``kind``
-    is ``"chunk"`` (``arg``: JSONL lines; the answer is their
-    decisions), ``"health"`` (``arg``: ``include_vehicles``) or
-    ``"digests"``.
+    is ``"chunk"`` (``arg``: JSONL lines; the answer is their decisions
+    as JSON text lines, encoded only when wanted), ``"health"``
+    (``arg``: ``include_vehicles``) or ``"digests"``.
     """
     if kind == "chunk":
-        return service.ingest_lines(arg)
+        decisions = service.ingest_lines(arg)
+        return [json.dumps(decision) for decision in decisions] if want else None
+    if not want:
+        return None
     if kind == "health":
         snapshot = service.health_snapshot(include_vehicles=arg)
         snapshot["vehicle_count"] = len(service.sessions)
@@ -322,13 +326,11 @@ def _worker_loop(
             # redelivery after the crash replays the whole chunk.
             for line in arg:
                 injector(line)
-        answer = _answer(service, kind, arg)
+        answer = _answer(service, kind, arg, want)
         # The done stamp is CLOCK_MONOTONIC, comparable with the parent's
         # dispatch stamp on the same host — it is the p50/p99
         # chunk-latency sample.
-        conn.send(
-            ("done", shard, request_id, time.monotonic(), answer if want else None)
-        )
+        conn.send(("done", shard, request_id, time.monotonic(), answer))
         last_sent = time.monotonic()
 
 
@@ -494,19 +496,16 @@ class ShardedAdvisorService:
                 f"poison_budget must be >= 1, got {poison_budget}"
             )
         self.state_dir = Path(state_dir)
-        legacy = self.state_dir / "shard-00"
-        if shards == 1 and legacy.is_dir():
-            raise InvalidParameterError(
-                f"{legacy} exists, but a one-shard tier keeps its state in "
-                f"{self.state_dir} itself: serve this dir with the shard "
-                "count that wrote it or, if that was one shard, move the "
-                "contents of shard-00 up one level"
-            )
+        self.shards = int(shards)
+        from .replica import check_layout  # replica imports this module
+
+        check_layout(
+            self.state_dir, [self._shard_dir(index) for index in range(self.shards)]
+        )
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.policy = policy
         self.fsync = bool(fsync)
-        self.shards = int(shards)
         self.queue_depth = max(1, int(queue_depth))
         self.ring = HashRing(self.shards, replicas)
         self.worker_mode = bool(workers)
@@ -625,8 +624,9 @@ class ShardedAdvisorService:
         decode).  A line whose vehicle cannot be identified — garbage
         JSON, or no usable ``vehicle`` field — is routed by a hash of
         the raw line: deterministic, and behaviour-neutral because such
-        lines only touch malformed counters, never a session.  One
-        shard owns every line, so a one-shard tier skips the decode.
+        lines only touch malformed counters, never a session.  Each
+        key is hashed once per call.  One shard owns every line, so a
+        one-shard tier skips the decode.
         """
         if self.shards == 1:
             return [(0, (list(range(len(lines))), lines))]
@@ -644,9 +644,13 @@ class ShardedAdvisorService:
                 except json.JSONDecodeError:
                     records.append(None)
         groups: dict[int, tuple[list, list]] = {}
+        owners: dict[str, int] = {}
         for position, (line, record) in enumerate(zip(lines, records)):
             vehicle = identifiable_vehicle(record)
-            shard = self.ring.route(vehicle if vehicle is not None else line)
+            key = vehicle if vehicle is not None else line
+            shard = owners.get(key)
+            if shard is None:
+                shard = owners[key] = self.ring.route(key)
             bucket = groups.setdefault(shard, ([], []))
             bucket[0].append(position)
             bucket[1].append(line)
@@ -676,12 +680,13 @@ class ShardedAdvisorService:
         for shard, (_positions, sub_lines) in self._partition(lines):
             self._request(shard, "chunk", sub_lines, want=False)
 
-    def request_lines(self, lines, timeout: float | None = None) -> list:
-        """Route one chunk and wait for its decisions, aligned with input.
+    def request_lines(self, lines, timeout: float | None = None) -> list[str]:
+        """Route one chunk and wait for its answers, aligned with input.
 
-        The front end's request/response path: one decision (or None
-        for malformed/dropped records) per input line, in input order.
-        A shed or quarantined sub-chunk leaves its positions None.
+        The front end's request/response path: one JSON text line per
+        input line, in input order — the decision as ``json.dumps``
+        writes it, or ``"null"`` for a malformed, dropped, shed or
+        quarantined record.
         """
         lines = self._as_lines(lines)
         if not lines:
@@ -690,10 +695,10 @@ class ShardedAdvisorService:
         answers = self._ask(
             "chunk", [(shard, sub_lines) for shard, (_, sub_lines) in parts], timeout
         )
-        results: list = [None] * len(lines)
-        for (_shard, (positions, _lines)), decisions in zip(parts, answers):
-            for position, decision in zip(positions, decisions or ()):
-                results[position] = decision
+        results = ["null"] * len(lines)
+        for (_shard, (positions, _lines)), encoded in zip(parts, answers):
+            for position, text in zip(positions, encoded or ()):
+                results[position] = text
         return results
 
     def drain(self, timeout: float | None = None) -> None:
@@ -797,7 +802,7 @@ class ShardedAdvisorService:
             request_id, kind, arg, want = command
             with self._lock:
                 self.dispatched_events += events
-                answer = _answer(self._inline[shard], kind, arg)
+                answer = _answer(self._inline[shard], kind, arg, want)
                 if want:
                     self._results[request_id] = answer
             return True

@@ -118,13 +118,21 @@ class TestSolverInvariants:
         scale = max(1.0, selection.chosen.worst_case_cost)
         assert abs(lp_solution.cost - selection.chosen.worst_case_cost) < 1e-7 * scale
 
-    @given(stats=feasible_statistics())
+    @given(
+        break_even=st.floats(min_value=1.0, max_value=100.0),
+        q=st.floats(min_value=0.001, max_value=0.999),
+        u=st.floats(min_value=0.01, max_value=0.99),
+    )
     @settings(max_examples=100)
-    def test_b_star_minimizes_eq34(self, stats):
-        assume(stats.q_b_plus > 1e-6 and stats.mu_b_minus > 1e-9)
-        assume(b_det_condition_holds(stats))
+    def test_b_star_minimizes_eq34(self, break_even, q, u):
+        # mu⁻/B = u·min((1-q⁺)²/q⁺, q⁺, 1-q⁺) with u < 1 satisfies
+        # condition (36), b* < B and feasibility by construction, so no
+        # input is filtered.
+        mu = u * break_even * min((1.0 - q) ** 2 / q, q, 1.0 - q)
+        stats = StopStatistics(mu_b_minus=mu, q_b_plus=q, break_even=break_even)
+        assert b_det_condition_holds(stats)
         b_star = optimal_b(stats)
-        assume(0.0 < b_star < stats.break_even)
+        assert 0.0 < b_star < stats.break_even
 
         def eq34(b):
             return (b + stats.break_even) * (stats.mu_b_minus / b + stats.q_b_plus)

@@ -353,7 +353,7 @@ class _ProbeService:
             self.readiness = lambda: verdict
 
     def request_lines(self, lines):
-        return [{"echo": line} for line in lines]
+        return [json.dumps({"echo": line}) for line in lines]
 
     def health_snapshot(self):
         return {"ok": True}

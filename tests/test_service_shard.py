@@ -182,7 +182,7 @@ def test_sharding_is_a_pure_partition(tmp_path_factory, case):
     )
     decisions_sharded = []
     for chunk in _chunks(lines, sizes):
-        decisions_sharded.extend(sharded.request_lines(chunk))
+        decisions_sharded.extend(map(json.loads, sharded.request_lines(chunk)))
     digests_sharded = sharded.digests()
     snap_sharded = sharded.health_snapshot(include_vehicles=True)
     sharded.close()
@@ -302,6 +302,41 @@ def test_one_shard_tier_owns_the_state_dir_and_refuses_shard_00(tmp_path):
             ShardedAdvisorService(tmp_path / "old", CONFIG, shards=1, workers=workers)
 
 
+@pytest.mark.parametrize("before, after", [(1, 2), (2, 3)])
+def test_a_state_dir_refuses_another_shard_count(tmp_path, before, after):
+    """The layout names the shard count that wrote a state dir: another
+    count is refused, naming the dir and both counts, instead of routing
+    vehicles to roots that do not hold their state.  The count that
+    wrote it still serves it: a redelivery is all duplicates."""
+    lines = [json.dumps(event) for event in build_fleet_events(12, 5, seed=43)]
+    fleet = tmp_path / "fleet"
+    service = ShardedAdvisorService(fleet, CONFIG, shards=before, workers=False)
+    service.submit_lines(lines)
+    service.close()
+    with pytest.raises(InvalidParameterError) as refused:
+        ShardedAdvisorService(fleet, CONFIG, shards=after, workers=False)
+    message = str(refused.value)
+    assert message.startswith(f"{fleet} was written by {before} shard(s)")
+    assert f"a {after}-shard tier" in message
+    service = ShardedAdvisorService(fleet, CONFIG, shards=before, workers=False)
+    service.submit_lines(lines)
+    snapshot = service.health_snapshot()
+    service.close()
+    assert snapshot["ingest"]["duplicates"] == len(lines)
+
+
+def test_a_state_dir_with_root_files_and_shard_dirs_is_refused(tmp_path):
+    fleet = tmp_path / "fleet"
+    service = ShardedAdvisorService(fleet, CONFIG, shards=1, workers=False)
+    service.submit_lines([json.dumps(build_fleet_events(1, 1, seed=3)[0])])
+    service.close()
+    (fleet / "shard-00").mkdir()
+    (fleet / "shard-01").mkdir()
+    for shards in (1, 2):
+        with pytest.raises(InvalidParameterError, match="both root files"):
+            ShardedAdvisorService(fleet, CONFIG, shards=shards, workers=False)
+
+
 def test_inline_tier_serializes_concurrent_requests(tmp_path):
     """Front-end threads share the in-process shard.  Four connections
     feed the same vehicles at once (one clock, so any serial order
@@ -374,12 +409,12 @@ def test_process_mode_matches_single_and_recovers_warm(tmp_path):
 
     service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=2, fsync=True)
     try:
-        decisions = service.request_lines(lines, timeout=120.0)
+        answers = service.request_lines(lines, timeout=120.0)
         digests = service.digests(timeout=120.0)
         snapshot = service.health_snapshot(include_vehicles=True, timeout=120.0)
     finally:
         service.close()
-    assert decisions == decisions_single
+    assert [json.loads(answer) for answer in answers] == decisions_single
     assert digests == digests_single
     assert snapshot["fleet_cost"] == cost_single
     assert snapshot["routing"]["shards"] == 2
@@ -478,7 +513,8 @@ def test_a_timed_out_request_leaves_no_answer_behind(tmp_path):
         tmp_path / "fleet", CONFIG, shards=1, hang_timeout=None
     )
     try:
-        assert service.request_lines(lines[:1], timeout=120.0) == decisions_single[:1]
+        first = service.request_lines(lines[:1], timeout=120.0)
+        assert list(map(json.loads, first)) == decisions_single[:1]
         pid = service.worker_pids[0]
         os.kill(pid, signal.SIGSTOP)
         try:
@@ -494,7 +530,7 @@ def test_a_timed_out_request_leaves_no_answer_behind(tmp_path):
     finally:
         service.close()
     assert orphans == {}
-    assert rest == decisions_single[3:]
+    assert list(map(json.loads, rest)) == decisions_single[3:]
     assert digests == digests_single
     assert leftover == {}
 
@@ -591,8 +627,10 @@ def test_parse_listen_specs():
 
 
 def test_frontend_socket_decisions_and_health(tmp_path):
-    """JSONL in, one JSON decision per line out, /health over the same
-    socket — against an inline sharded service (no worker processes)."""
+    """JSONL in, one JSON decision per line out — each line exactly as
+    ``json.dumps`` writes the single-process decision — and /health over
+    the same socket, against an inline sharded service (no worker
+    processes)."""
     events = build_fleet_events(vehicles=3, stops_per_vehicle=6, seed=33)
     lines = [json.dumps(event) for event in events]
     decisions_single, digests_single, _cost = _single_reference(tmp_path, lines)
@@ -618,7 +656,7 @@ def test_frontend_socket_decisions_and_health(tmp_path):
                     handle.write(line + "\n")
                 handle.flush()
                 sock.shutdown(socket.SHUT_WR)
-                return [json.loads(reply) for reply in handle]
+                return handle.read().splitlines()
 
         replies = await asyncio.to_thread(stream_client)
 
@@ -640,7 +678,7 @@ def test_frontend_socket_decisions_and_health(tmp_path):
     service_digests = service.digests()
     service.close()
 
-    assert replies == decisions_single
+    assert replies == [json.dumps(decision) for decision in decisions_single]
     assert service_digests == digests_single
     head, _, body = raw.partition(b"\r\n\r\n")
     assert b"200 OK" in head
@@ -651,10 +689,15 @@ def test_frontend_socket_decisions_and_health(tmp_path):
 
 class _EchoService:
     """Minimal service shape (`request_lines`/`health_snapshot`/`close`)
-    for frontend protocol tests — no advisor state involved."""
+    for frontend protocol tests — no advisor state involved.  It records
+    every `request_lines` call, and answers each line with JSON text."""
+
+    def __init__(self):
+        self.requests = []
 
     def request_lines(self, lines):
-        return [{"echo": line} for line in lines]
+        self.requests.append(list(lines))
+        return [json.dumps({"echo": line}) for line in lines]
 
     def health_snapshot(self):
         return {"ok": True}
@@ -741,6 +784,161 @@ def test_frontend_stdin_pump(tmp_path, monkeypatch):
     service.close()
     assert routed == len(lines)
     assert digests == digests_single
+
+
+def _serve_while(frontend, sock_path, client):
+    """Serve ``frontend`` on ``sock_path`` while ``client()`` runs in a
+    thread; returns what the client returned."""
+
+    async def scenario():
+        ready = asyncio.Event()
+        server = asyncio.create_task(
+            frontend.serve(f"unix:{sock_path}", ready=ready, install_signals=False)
+        )
+        await asyncio.wait_for(ready.wait(), timeout=30)
+        try:
+            return await asyncio.to_thread(client)
+        finally:
+            frontend.request_stop()
+            await asyncio.wait_for(server, timeout=30)
+
+    return asyncio.run(scenario())
+
+
+def _send_all_then_read(sock_path: str, payload: bytes) -> bytes:
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.connect(sock_path)
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    return raw
+
+
+def test_frontend_caps_chunks_and_answers_in_order(tmp_path, monkeypatch):
+    """Ten lines in one write reach the service in requests of at most
+    CHUNK_LINES lines, and their ten answers come back in input order."""
+    from repro.service import frontend as frontend_mod
+
+    monkeypatch.setattr(frontend_mod, "CHUNK_LINES", 4)
+    service = _EchoService()
+    lines = [json.dumps({"n": n}) for n in range(10)]
+    sock_path = str(tmp_path / "advisor.sock")
+    payload = "".join(f"{line}\n" for line in lines).encode()
+    raw = _serve_while(
+        JsonlFrontend(service),
+        sock_path,
+        lambda: _send_all_then_read(sock_path, payload),
+    )
+    assert raw.decode().splitlines() == [json.dumps({"echo": line}) for line in lines]
+    assert [line for request in service.requests for line in request] == lines
+    assert max(len(request) for request in service.requests) <= 4
+
+
+def test_frontend_frames_lines_as_readline_did(tmp_path):
+    """CRLF endings, a blank line, a byte that is not UTF-8 and a last
+    line with no newline before EOF each get exactly one answer, in
+    order."""
+    service = _EchoService()
+    payload = b'{"a": 1}\r\n\n{"b": "\xff"}\r\n{"c": 3}'
+    expected = ['{"a": 1}', "", '{"b": "\ufffd"}', '{"c": 3}']
+    sock_path = str(tmp_path / "advisor.sock")
+    raw = _serve_while(
+        JsonlFrontend(service),
+        sock_path,
+        lambda: _send_all_then_read(sock_path, payload),
+    )
+    answers = raw.decode().splitlines()
+    assert answers == [json.dumps({"echo": line}) for line in expected]
+    assert [line for request in service.requests for line in request] == expected
+
+
+def test_frontend_closes_on_an_overlong_line_and_keeps_serving(tmp_path, monkeypatch):
+    """After one answered line, a line longer than _LINE_LIMIT closes the
+    connection with no answer; a new connection is still served."""
+    from repro.service import frontend as frontend_mod
+
+    monkeypatch.setattr(frontend_mod, "_LINE_LIMIT", 64)
+    service = _EchoService()
+    sock_path = str(tmp_path / "advisor.sock")
+
+    def client():
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.connect(sock_path)
+            sock.settimeout(10)
+            handle = sock.makefile("rwb")
+            handle.write(b'{"first": 1}\n')
+            handle.flush()
+            first = handle.readline()
+            handle.write(b"x" * 200 + b"\n")
+            handle.flush()
+            after = handle.read()
+        again = _send_all_then_read(sock_path, b'{"again": 2}\n')
+        return first, after, again
+
+    first, after, again = _serve_while(JsonlFrontend(service), sock_path, client)
+    assert first == json.dumps({"echo": '{"first": 1}'}).encode() + b"\n"
+    assert after == b""
+    assert again == json.dumps({"echo": '{"again": 2}'}).encode() + b"\n"
+    assert service.requests == [['{"first": 1}'], ['{"again": 2}']]
+
+
+async def _readline_lines(payload: bytes) -> list[str]:
+    reader = asyncio.StreamReader()
+    reader.feed_data(payload)
+    reader.feed_eof()
+    lines = []
+    while line := await reader.readline():
+        lines.append(line.decode("utf-8", "replace").rstrip("\r\n"))
+    return lines
+
+
+async def _line_reader_chunks(payload: bytes, arrival: int) -> list[list[str]]:
+    from repro.service.frontend import _LineReader
+
+    reader = asyncio.StreamReader()
+
+    async def feed():
+        for start in range(0, len(payload), arrival):
+            reader.feed_data(payload[start : start + arrival])
+            await asyncio.sleep(0)
+        reader.feed_eof()
+
+    feeder = asyncio.create_task(feed())
+    lines, chunks = _LineReader(reader), []
+    while chunk := await lines.chunk([]):
+        chunks.append(chunk)
+    await feeder
+    return chunks
+
+
+@given(
+    pieces=st.lists(
+        st.sampled_from([b"{}", b" ", b"\n", b"\r", b"\xff", b"\xe2\x82", b"\xc3\xa9"]),
+        max_size=40,
+    ),
+    arrival=st.integers(min_value=1, max_value=8),
+    chunk_lines=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_frontend_reader_frames_any_arrival_as_readline_did(
+    pieces, arrival, chunk_lines
+):
+    """Any bytes, arriving in pieces, become the lines ``readline`` made
+    — CR stripped, UTF-8 replaced, a partial last line kept — in chunks
+    of at most CHUNK_LINES."""
+    from unittest import mock
+
+    from repro.service import frontend as frontend_mod
+
+    payload = b"".join(pieces)
+    with mock.patch.object(frontend_mod, "CHUNK_LINES", chunk_lines):
+        chunks = asyncio.run(_line_reader_chunks(payload, arrival))
+    assert [line for chunk in chunks for line in chunk] == asyncio.run(
+        _readline_lines(payload)
+    )
+    assert all(0 < len(chunk) <= chunk_lines for chunk in chunks)
 
 
 # -- CLI ------------------------------------------------------------------
