@@ -27,24 +27,8 @@ True
 True
 """
 
+from ._lazy import lazy_exports
 from .constants import B_CONVENTIONAL, B_SSV, E_RATIO
-from .core import (
-    BDet,
-    ConstrainedSkiRentalSolver,
-    Deterministic,
-    MOMRand,
-    NeverOff,
-    NRand,
-    ProposedOnline,
-    StopStatistics,
-    Strategy,
-    TurnOffImmediately,
-    competitive_ratio,
-    empirical_cr,
-    expected_cr,
-    offline_cost,
-    online_cost,
-)
 from .errors import ReproError
 
 __version__ = "1.0.0"
@@ -71,3 +55,23 @@ __all__ = [
     "expected_cr",
     "empirical_cr",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "BDet",
+        "ConstrainedSkiRentalSolver",
+        "Deterministic",
+        "MOMRand",
+        "NeverOff",
+        "NRand",
+        "ProposedOnline",
+        "StopStatistics",
+        "Strategy",
+        "TurnOffImmediately",
+        "competitive_ratio",
+        "empirical_cr",
+        "expected_cr",
+        "offline_cost",
+        "online_cost",
+    ),
+})

@@ -58,14 +58,12 @@ on-disk fleet dataset instead of synthesizing — fig3/fig4/table1) and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .constants import B_SSV
-from .core import ConstrainedSkiRentalSolver, StopStatistics
-from .engine import ResultCache, RunLedger, get_default_jobs, use_ledger
+from .engine import RunLedger, use_ledger
 from .errors import ReproError
 from .experiments import EXPERIMENTS, cached_run, format_table
 from .validation import Policy
@@ -159,7 +157,7 @@ def _session_config(args):
     """The session config :func:`_add_session_config_flags` describes:
     an ``AugmentedSessionConfig`` when any learning-augmented flag is
     set, a plain ``SessionConfig`` otherwise."""
-    from .service.session import SessionConfig
+    from .service.config import SessionConfig
 
     _warn_break_even(args.break_even)
     kwargs = dict(
@@ -714,13 +712,15 @@ def _experiment_params(experiment_id: str, args) -> dict:
     return params
 
 
-def _parse_stops(spec: str, policy: str = "strict") -> np.ndarray:
+def _parse_stops(spec: str, policy: str = "strict"):
     """Parse ``--stops`` (a file path or comma-separated values).
 
     Both forms run through the validation layer: under ``strict`` a bad
     value raises a typed error naming the offending line (or token),
     under ``repair``/``quarantine`` bad values are dropped and logged.
     """
+    import numpy as np
+
     from .validation import PolicyEnforcer
 
     path = Path(spec)
@@ -768,14 +768,12 @@ def _parse_stops(spec: str, policy: str = "strict") -> np.ndarray:
 
 
 def _run_and_report(experiment_id: str, args, ledger: RunLedger | None = None) -> None:
+    from .engine import get_default_jobs
+
     jobs = args.jobs if args.jobs is not None else get_default_jobs()
     params = _experiment_params(experiment_id, args)
-    use_cache = not args.no_cache
-    if ledger is not None:
-        with use_ledger(ledger):
-            result = cached_run(experiment_id, params, jobs=jobs, use_cache=use_cache)
-    else:
-        result = cached_run(experiment_id, params, jobs=jobs, use_cache=use_cache)
+    with use_ledger(ledger):
+        result = cached_run(experiment_id, params, jobs=jobs, use_cache=not args.no_cache)
     print(result.to_ascii())
     if ledger is not None:
         print("\n-- ledger --")
@@ -790,6 +788,8 @@ def _run_and_report(experiment_id: str, args, ledger: RunLedger | None = None) -
 
 
 def _cache(args) -> None:
+    from .engine import ResultCache
+
     cache = ResultCache()
     if args.action == "clear":
         removed = cache.clear()
@@ -850,6 +850,8 @@ def _warn_break_even(break_even: float) -> None:
 
 
 def _advise(args) -> None:
+    from .core import ConstrainedSkiRentalSolver, StopStatistics
+
     _warn_break_even(args.break_even)
     stops = _parse_stops(args.stops, args.policy)
     stats = StopStatistics.from_samples(stops, args.break_even)
@@ -871,7 +873,7 @@ def _advise(args) -> None:
     print("vertex comparison:")
     for vertex in selection.vertices:
         marker = "*" if vertex.name == selection.name else " "
-        cr = f"{vertex.worst_case_cr:.4f}" if np.isfinite(vertex.worst_case_cr) else "inadmissible"
+        cr = f"{vertex.worst_case_cr:.4f}" if math.isfinite(vertex.worst_case_cr) else "inadmissible"
         print(f"  {marker} {vertex.name:<7} worst-case CR {cr}")
     if getattr(args, "improved", False):
         from .core import ImprovedConstrainedSolver
@@ -1075,10 +1077,7 @@ def _data_doctor(args) -> int:
             else:
                 _lint_generic_csv(path, report)
 
-    if ledger is not None:
-        with use_ledger(ledger):
-            _examine()
-    else:
+    with use_ledger(ledger):
         _examine()
     print(report.format())
     if args.report is not None:
@@ -1177,10 +1176,7 @@ def _serve(args) -> int:
         finally:
             service.close()
 
-    if ledger is not None:
-        with use_ledger(ledger):
-            snapshot = _run()
-    else:
+    with use_ledger(ledger):
         snapshot = _run()
 
     ingest = snapshot["ingest"]

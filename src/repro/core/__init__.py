@@ -1,109 +1,7 @@
 """The paper's core contribution: ski-rental costs, baseline strategies,
 and the constrained ski-rental solver (Sections 2-4)."""
 
-from .adaptive import AdaptiveProposed
-from .contextual import ContextualProposed, hour_of_day_context
-from .tailrisk import TailRiskRand, max_nrand_weight, tail_cap_feasible
-from .adversary import (
-    appendix_a_adversary,
-    conditional_mean_adversary,
-    worst_case_for_bdet,
-)
-from .analysis import (
-    empirical_cr,
-    empirical_offline_cost,
-    empirical_online_cost,
-    expected_cr,
-    expected_cr_prime,
-    expected_offline_cost,
-    expected_online_cost,
-    monte_carlo_online_cost,
-    worst_case_cr,
-    worst_case_cr_prime,
-    worst_case_expected_cost,
-)
-from .constrained import (
-    ConstrainedSkiRentalSolver,
-    ProposedOnline,
-    Selection,
-    VertexEvaluation,
-    worst_case_cost_bdet,
-    worst_case_cost_det,
-    worst_case_cost_nrand,
-    worst_case_cost_toi,
-)
-from .costs import (
-    competitive_ratio,
-    competitive_ratio_vec,
-    offline_cost,
-    offline_cost_vec,
-    online_cost,
-    online_cost_vec,
-)
-from .kernels import (
-    PrefixSumSample,
-    bootstrap_cr_samples,
-    bootstrap_resample_indices,
-    empirical_cr_kernel,
-    gauss_legendre_rule,
-    quantile_pair,
-    strategy_cost,
-)
-from .deterministic import (
-    BDet,
-    Deterministic,
-    NeverOff,
-    TurnOffImmediately,
-    b_det_condition_holds,
-    b_det_worst_case_cost,
-    optimal_b,
-)
-from .averagecase import (
-    OptimalThreshold,
-    exponential_expected_cost,
-    exponential_optimal_threshold,
-    expected_cost_of_threshold,
-    optimal_threshold,
-)
-from .prediction import (
-    NoisyOracle,
-    PredictedThreshold,
-    PSKStrategy,
-    consistency_bound,
-    psk_threshold,
-    robustness_bound,
-)
-from .brand import (
-    BRand,
-    ImprovedConstrainedSolver,
-    ImprovedSelection,
-    b_rand_worst_case_cost,
-    optimal_beta,
-)
-from .lp import LPCoefficients, lp_coefficients, solve_lp, verify_against_lp
-from .minimax import GameSolution, solve_constrained_game, solve_unconstrained_game
-from .multislope import FollowTheEnvelope, MultislopeProblem, Slope
-from .multislope_game import (
-    MultislopeGameSolution,
-    pure_strategy_cost,
-    solve_multislope_game,
-)
-from .randomized import MOMRand, NRand, mom_rand_cr_prime_bound, mom_rand_uses_revised_pdf
-from .serialize import strategy_from_dict, strategy_to_dict
-from .sensitivity import (
-    misspecified_worst_case_cr,
-    perturbed_statistics,
-    robustness_margin,
-)
-from .regions import STRATEGY_CODES, RegionGrid, compute_region_grid, cr_slice
-from .stats import StopStatistics, mu_b_minus_from_samples, q_b_plus_from_samples
-from .strategy import (
-    Atom,
-    ContinuousRandomizedStrategy,
-    DeterministicThresholdStrategy,
-    MixedStrategy,
-    Strategy,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     # costs
@@ -221,3 +119,67 @@ __all__ = [
     "strategy_to_dict",
     "strategy_from_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".adaptive": ("AdaptiveProposed",),
+    ".contextual": ("ContextualProposed", "hour_of_day_context"),
+    ".tailrisk": ("TailRiskRand", "max_nrand_weight", "tail_cap_feasible"),
+    ".adversary": (
+        "appendix_a_adversary", "conditional_mean_adversary", "worst_case_for_bdet",
+    ),
+    ".analysis": (
+        "empirical_cr", "empirical_offline_cost", "empirical_online_cost",
+        "expected_cr", "expected_cr_prime", "expected_offline_cost",
+        "expected_online_cost", "monte_carlo_online_cost", "worst_case_cr",
+        "worst_case_cr_prime", "worst_case_expected_cost",
+    ),
+    ".constrained": (
+        "ConstrainedSkiRentalSolver", "ProposedOnline", "Selection", "VertexEvaluation",
+        "worst_case_cost_bdet", "worst_case_cost_det", "worst_case_cost_nrand",
+        "worst_case_cost_toi",
+    ),
+    ".costs": (
+        "competitive_ratio", "competitive_ratio_vec", "offline_cost",
+        "offline_cost_vec", "online_cost", "online_cost_vec",
+    ),
+    ".kernels": (
+        "PrefixSumSample", "bootstrap_cr_samples", "bootstrap_resample_indices",
+        "empirical_cr_kernel", "gauss_legendre_rule", "quantile_pair", "strategy_cost",
+    ),
+    ".deterministic": (
+        "BDet", "Deterministic", "NeverOff", "TurnOffImmediately",
+        "b_det_condition_holds", "b_det_worst_case_cost", "optimal_b",
+    ),
+    ".averagecase": (
+        "OptimalThreshold", "exponential_expected_cost",
+        "exponential_optimal_threshold", "expected_cost_of_threshold",
+        "optimal_threshold",
+    ),
+    ".prediction": (
+        "NoisyOracle", "PredictedThreshold", "PSKStrategy", "consistency_bound",
+        "psk_threshold", "robustness_bound",
+    ),
+    ".brand": (
+        "BRand", "ImprovedConstrainedSolver", "ImprovedSelection",
+        "b_rand_worst_case_cost", "optimal_beta",
+    ),
+    ".lp": ("LPCoefficients", "lp_coefficients", "solve_lp", "verify_against_lp"),
+    ".minimax": ("GameSolution", "solve_constrained_game", "solve_unconstrained_game"),
+    ".multislope": ("FollowTheEnvelope", "MultislopeProblem", "Slope"),
+    ".multislope_game": (
+        "MultislopeGameSolution", "pure_strategy_cost", "solve_multislope_game",
+    ),
+    ".randomized": (
+        "MOMRand", "NRand", "mom_rand_cr_prime_bound", "mom_rand_uses_revised_pdf",
+    ),
+    ".serialize": ("strategy_from_dict", "strategy_to_dict"),
+    ".sensitivity": (
+        "misspecified_worst_case_cr", "perturbed_statistics", "robustness_margin",
+    ),
+    ".regions": ("STRATEGY_CODES", "RegionGrid", "compute_region_grid", "cr_slice"),
+    ".stats": ("StopStatistics", "mu_b_minus_from_samples", "q_b_plus_from_samples"),
+    ".strategy": (
+        "Atom", "ContinuousRandomizedStrategy", "DeterministicThresholdStrategy",
+        "MixedStrategy", "Strategy",
+    ),
+})

@@ -9,7 +9,8 @@ Two APIs are provided for each quantity:
 * scalar functions (``offline_cost``, ``online_cost``, ``competitive_ratio``)
   that operate on Python floats and validate their inputs, and
 * vectorised variants (suffix ``_vec``) that accept numpy arrays of stop
-  lengths and are used by the Monte-Carlo and fleet-evaluation layers.
+  lengths and are used by the Monte-Carlo and fleet-evaluation layers;
+  they import numpy when called, so the scalar validators load none.
 
 Conventions
 -----------
@@ -23,7 +24,7 @@ Conventions
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from ..errors import InvalidParameterError
 
@@ -48,7 +49,7 @@ def validate_break_even(break_even: float) -> float:
         If ``break_even`` is not a strictly positive finite number.
     """
     b = float(break_even)
-    if not np.isfinite(b) or b <= 0.0:
+    if not math.isfinite(b) or b <= 0.0:
         raise InvalidParameterError(
             f"break-even interval must be a positive finite number, got {break_even!r}"
         )
@@ -64,7 +65,7 @@ def validate_stop_length(stop_length: float) -> float:
         If ``stop_length`` is negative, NaN or infinite.
     """
     y = float(stop_length)
-    if not np.isfinite(y) or y < 0.0:
+    if not math.isfinite(y) or y < 0.0:
         raise InvalidParameterError(
             f"stop length must be a non-negative finite number, got {stop_length!r}"
         )
@@ -122,6 +123,8 @@ def competitive_ratio(threshold: float, stop_length: float, break_even: float) -
 
 def offline_cost_vec(stop_lengths: np.ndarray, break_even: float) -> np.ndarray:
     """Vectorised :func:`offline_cost` over an array of stop lengths."""
+    import numpy as np
+
     b = validate_break_even(break_even)
     y = np.asarray(stop_lengths, dtype=float)
     if y.size and (np.any(~np.isfinite(y)) or np.any(y < 0.0)):
@@ -140,6 +143,8 @@ def online_cost_vec(
     stop) or an array broadcastable against ``stop_lengths`` (randomized
     strategy with one draw per stop).
     """
+    import numpy as np
+
     b = validate_break_even(break_even)
     y = np.asarray(stop_lengths, dtype=float)
     x = np.asarray(thresholds, dtype=float)
@@ -161,6 +166,8 @@ def competitive_ratio_vec(
     Zero-length stops follow the scalar convention (ratio 1 when the online
     cost is also zero, ``+inf`` otherwise).
     """
+    import numpy as np
+
     on = online_cost_vec(thresholds, stop_lengths, break_even)
     off = offline_cost_vec(stop_lengths, break_even)
     ratio = np.empty_like(on)

@@ -6,14 +6,7 @@ constructions, mean-scaling (Figures 5-6) and goodness-of-fit diagnostics
 (Figure 3).
 """
 
-from .base import StopLengthDistribution
-from .censored import CensoredDistribution
-from .discrete import DiscreteStopDistribution, three_point, two_point
-from .empirical import EmpiricalDistribution
-from .fitting import KSResult, ks_test_exponential, moment_summary, tail_weight
-from .mixture import MixtureDistribution
-from .parametric import Exponential, LogNormal, Pareto, ScipyDistribution, Uniform, Weibull
-from .scaled import ScaledDistribution, scale_to_mean
+from .._lazy import lazy_exports
 
 __all__ = [
     "StopLengthDistribution",
@@ -36,3 +29,16 @@ __all__ = [
     "tail_weight",
     "moment_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ("StopLengthDistribution",),
+    ".censored": ("CensoredDistribution",),
+    ".discrete": ("DiscreteStopDistribution", "three_point", "two_point"),
+    ".empirical": ("EmpiricalDistribution",),
+    ".fitting": ("KSResult", "ks_test_exponential", "moment_summary", "tail_weight"),
+    ".mixture": ("MixtureDistribution",),
+    ".parametric": (
+        "Exponential", "LogNormal", "Pareto", "ScipyDistribution", "Uniform", "Weibull",
+    ),
+    ".scaled": ("ScaledDistribution", "scale_to_mean"),
+})

@@ -1,11 +1,7 @@
 """Synthetic drive-cycle generation: road networks, signals, congestion,
 driver behaviour and the trip simulator."""
 
-from .driver import DriverProfile
-from .road import RoadNetwork, grid_network
-from .signals import TrafficSignal
-from .simulator import DriveCycleSimulator, TripResult
-from .traffic import CongestionModel
+from .._lazy import lazy_exports
 
 __all__ = [
     "TrafficSignal",
@@ -16,3 +12,11 @@ __all__ = [
     "DriveCycleSimulator",
     "TripResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".driver": ("DriverProfile",),
+    ".road": ("RoadNetwork", "grid_network"),
+    ".signals": ("TrafficSignal",),
+    ".simulator": ("DriveCycleSimulator", "TripResult"),
+    ".traffic": ("CongestionModel",),
+})

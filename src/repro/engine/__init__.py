@@ -28,25 +28,7 @@ Layering: ``engine`` depends only on numpy and ``repro.errors`` —
 everything above it (fleet, evaluation, experiments, cli) may use it.
 """
 
-from .cache import (
-    ResultCache,
-    cache_key,
-    code_version,
-    decode_payload,
-    default_cache_dir,
-    encode_payload,
-)
-from .instrument import Instrumentation, StageTiming
-from .ledger import RunLedger, active_ledger, read_ledger, use_ledger
-from .parallel import (
-    MapCheckpoint,
-    ParallelMap,
-    ParallelTaskError,
-    ParallelTimeoutError,
-    get_default_jobs,
-    parallel_map,
-)
-from .seeding import spawn_rngs, spawn_seeds
+from .._lazy import lazy_exports
 
 __all__ = [
     "MapCheckpoint",
@@ -70,3 +52,17 @@ __all__ = [
     "Instrumentation",
     "StageTiming",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cache": (
+        "ResultCache", "cache_key", "code_version", "decode_payload",
+        "default_cache_dir", "encode_payload",
+    ),
+    ".instrument": ("Instrumentation", "StageTiming"),
+    ".ledger": ("RunLedger", "active_ledger", "read_ledger", "use_ledger"),
+    ".parallel": (
+        "MapCheckpoint", "ParallelMap", "ParallelTaskError", "ParallelTimeoutError",
+        "get_default_jobs", "parallel_map",
+    ),
+    ".seeding": ("spawn_rngs", "spawn_seeds"),
+})

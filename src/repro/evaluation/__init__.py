@@ -1,31 +1,7 @@
 """Competitive-analysis harness: fleet evaluation, traffic sweeps and
 Monte-Carlo estimators."""
 
-from .batch import StrategyPlan, fleet_cr_matrix, select_vertex
-from .competitive import (
-    STRATEGY_NAMES,
-    FleetEvaluation,
-    VehicleEvaluation,
-    build_strategies,
-    evaluate_fleet,
-    evaluate_vehicle,
-)
-from .holdout import (
-    HoldoutComparison,
-    compare_in_vs_out_of_sample,
-    holdout_evaluate_fleet,
-    holdout_evaluate_vehicle,
-)
-from .montecarlo import MonteCarloCR, bootstrap_cr_interval, monte_carlo_cr
-from .significance import (
-    MeanDifference,
-    compare_strategies,
-    paired_bootstrap_mean_difference,
-    win_rate_interval,
-)
-from .sweep import SweepResult, sweep_analytic, sweep_simulated
-from .pareto import ParetoPoint, pareto_frontier, vehicle_pareto_report
-from .variance import CostMoments, risk_report, weekly_cost_moments
+from .._lazy import lazy_exports
 
 __all__ = [
     "STRATEGY_NAMES",
@@ -58,3 +34,23 @@ __all__ = [
     "pareto_frontier",
     "vehicle_pareto_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".batch": ("StrategyPlan", "fleet_cr_matrix", "select_vertex"),
+    ".competitive": (
+        "STRATEGY_NAMES", "FleetEvaluation", "VehicleEvaluation", "build_strategies",
+        "evaluate_fleet", "evaluate_vehicle",
+    ),
+    ".holdout": (
+        "HoldoutComparison", "compare_in_vs_out_of_sample", "holdout_evaluate_fleet",
+        "holdout_evaluate_vehicle",
+    ),
+    ".montecarlo": ("MonteCarloCR", "bootstrap_cr_interval", "monte_carlo_cr"),
+    ".significance": (
+        "MeanDifference", "compare_strategies", "paired_bootstrap_mean_difference",
+        "win_rate_interval",
+    ),
+    ".sweep": ("SweepResult", "sweep_analytic", "sweep_simulated"),
+    ".pareto": ("ParetoPoint", "pareto_frontier", "vehicle_pareto_report"),
+    ".variance": ("CostMoments", "risk_report", "weekly_cost_moments"),
+})

@@ -15,21 +15,9 @@ code version, so repeated invocations skip recomputation entirely.
 
 from __future__ import annotations
 
+import importlib
 import time
 
-from . import (
-    appendix_c,
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    holdout_fig4,
-    improved,
-    seeds,
-    sweeps,
-    table1,
-)
-from ..engine.cache import ResultCache, cache_key
 from ..engine.instrument import StageTiming
 from ..engine.ledger import active_ledger
 from .report import ExperimentResult, Table, format_table
@@ -43,20 +31,30 @@ __all__ = [
     "cached_run",
 ]
 
+
+def _on_demand(module: str, name: str = "run"):
+    """The run callable ``module.name``, imported on its first call."""
+
+    def run(**params):
+        return getattr(importlib.import_module(module, __name__), name)(**params)
+
+    return run
+
+
 #: Registry: experiment id -> run callable.
 EXPERIMENTS = {
-    "fig1": fig1.run,
-    "fig2": fig2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": sweeps.run_fig5,
-    "fig6": sweeps.run_fig6,
-    "table1": table1.run,
-    "appc": appendix_c.run,
+    "fig1": _on_demand(".fig1"),
+    "fig2": _on_demand(".fig2"),
+    "fig3": _on_demand(".fig3"),
+    "fig4": _on_demand(".fig4"),
+    "fig5": _on_demand(".sweeps", "run_fig5"),
+    "fig6": _on_demand(".sweeps", "run_fig6"),
+    "table1": _on_demand(".table1"),
+    "appc": _on_demand(".appendix_c"),
     # not paper artifacts: the reproduction's own studies
-    "improved": improved.run,
-    "holdout": holdout_fig4.run,
-    "seeds": seeds.run,
+    "improved": _on_demand(".improved"),
+    "holdout": _on_demand(".holdout_fig4"),
+    "seeds": _on_demand(".seeds"),
 }
 
 
@@ -105,6 +103,8 @@ def cached_run(
         from ..errors import InvalidParameterError
 
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
+    from ..engine.cache import ResultCache, cache_key
+
     params = dict(params or {})
     params.pop("jobs", None)
     run_params = {k: v for k, v in params.items() if not k.startswith("_")}

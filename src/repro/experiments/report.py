@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ..engine.instrument import StageTiming
 from ..errors import InvalidParameterError
 
@@ -35,6 +33,8 @@ def _format_cell(value) -> str:
 
 def _plain(value):
     """Coerce numpy scalars to the built-in types JSON can store."""
+    import numpy as np
+
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):

@@ -1,23 +1,6 @@
 """NREL-like synthetic fleets (the paper's evaluation dataset substitute)."""
 
-from .areas import AREA_NAMES, AREAS, AreaConfig, area_config
-from .daily import (
-    DailyFleetGenerator,
-    DailyPattern,
-    TimedVehicleRecord,
-    default_daily_pattern,
-)
-from .generator import FleetGenerator, VehicleRecord
-from .io import load_fleet_dataset, save_fleet_dataset
-from .nrel import (
-    DEFAULT_SEED,
-    load_area,
-    load_fleets,
-    load_fleets_or_dataset,
-    pooled_stops,
-    total_vehicle_count,
-    validate_fleets,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AreaConfig",
@@ -40,3 +23,17 @@ __all__ = [
     "TimedVehicleRecord",
     "default_daily_pattern",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".areas": ("AREA_NAMES", "AREAS", "AreaConfig", "area_config"),
+    ".daily": (
+        "DailyFleetGenerator", "DailyPattern", "TimedVehicleRecord",
+        "default_daily_pattern",
+    ),
+    ".generator": ("FleetGenerator", "VehicleRecord"),
+    ".io": ("load_fleet_dataset", "save_fleet_dataset"),
+    ".nrel": (
+        "DEFAULT_SEED", "load_area", "load_fleets", "load_fleets_or_dataset",
+        "pooled_stops", "total_vehicle_count", "validate_fleets",
+    ),
+})

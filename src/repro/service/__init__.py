@@ -34,42 +34,7 @@ See ``docs/serving.md`` for the state machine, the durability
 guarantees, and the degradation ladder's competitive-ratio bounds.
 """
 
-# NOTE: repro.service.soak is deliberately not imported here — it is
-# runnable as ``python -m repro.service.soak`` and importing it from the
-# package __init__ would shadow that execution (runpy warns).
-from .advisor import AdvisorService, parse_event_line
-from .augmented import (
-    AugmentedAdvisorSession,
-    AugmentedSessionConfig,
-    ConstantPredictor,
-    ContextualPredictor,
-    TrustLearner,
-    build_predictor,
-)
-from .drift import DriftDetector, PageHinkley
-from .frontend import JsonlFrontend, parse_listen
-from .replica import (
-    LocalReplicaTarget,
-    RemoteReplicaTarget,
-    ReplicaServer,
-    ReplicationError,
-    ReplicationMonitor,
-    backup,
-    fleet_doctor,
-    promote,
-    replicate,
-    restore,
-    sweep_state_dir,
-    sync_once,
-)
-from .session import AdvisorSession, HealthState, SessionConfig, vehicle_seed
-from .shard import (
-    HashRing,
-    ShardedAdvisorService,
-    ShardLockError,
-    sweep_stale_shard_locks,
-)
-from .wal import SnapshotStore, WalCorruptionError, WriteAheadLog
+from .._lazy import lazy_exports
 
 __all__ = [
     "AdvisorService",
@@ -108,3 +73,25 @@ __all__ = [
     "sync_once",
     "vehicle_seed",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".advisor": ("AdvisorService", "parse_event_line"),
+    ".augmented": (
+        "AugmentedAdvisorSession", "AugmentedSessionConfig", "ConstantPredictor",
+        "ContextualPredictor", "TrustLearner", "build_predictor",
+    ),
+    ".drift": ("DriftDetector", "PageHinkley"),
+    ".frontend": ("JsonlFrontend", "parse_listen"),
+    ".replica": (
+        "LocalReplicaTarget", "RemoteReplicaTarget", "ReplicaServer",
+        "ReplicationError", "ReplicationMonitor", "backup", "fleet_doctor", "promote",
+        "replicate", "restore", "sweep_state_dir", "sync_once",
+    ),
+    ".config": ("SessionConfig",),
+    ".session": ("AdvisorSession", "HealthState", "vehicle_seed"),
+    ".shard": (
+        "HashRing", "ShardedAdvisorService", "ShardLockError",
+        "sweep_stale_shard_locks",
+    ),
+    ".wal": ("SnapshotStore", "WalCorruptionError", "WriteAheadLog"),
+})

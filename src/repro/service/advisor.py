@@ -29,8 +29,9 @@ from pathlib import Path
 
 from ..validation import CsvQuarantineWriter, PolicyEnforcer, ValidationReport
 from ..validation.schemas import stop_event_findings
-from .batch import MalformedEvent, identifiable_vehicle, plan_chunk
-from .session import AdvisorSession, SessionConfig, SessionRoot
+from .batch import MalformedEvent, plan_chunk
+from .config import SessionConfig, gate_on_replication, identifiable_vehicle
+from .session import AdvisorSession, SessionRoot
 
 __all__ = [
     "AdvisorService",
@@ -38,33 +39,6 @@ __all__ = [
     "gate_on_replication",
     "parse_event_line",
 ]
-
-def gate_on_replication(replication, reasons: list) -> dict:
-    """Fold replication lag into a readiness verdict.
-
-    Shared by the single-process and sharded tiers so ``/ready`` speaks
-    one schema: the verdict carries the monitor's full lag snapshot
-    under ``"replication"`` (machine-readable), and flips not-ready when
-    lag exceeds the monitor's bound or the standby's watermark file is
-    unreadable (its state is then unknown — the conservative verdict).
-    """
-    verdict = {"ready": True, "reasons": reasons}
-    if replication is not None:
-        lag = replication.snapshot()
-        verdict["replication"] = lag
-        if not lag["within_bound"]:
-            if lag["watermarks_corrupt"]:
-                reasons.append(
-                    "replication watermarks corrupt: standby state unknown"
-                )
-            else:
-                reasons.append(
-                    f"replication lag {lag['max_lag_events']} events exceeds "
-                    f"bound {lag['max_lag_bound']} "
-                    f"({lag['vehicles_lagging']} session(s) lagging)"
-                )
-    verdict["ready"] = not reasons
-    return verdict
 
 
 def parse_event_line(line: str):

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..validation.schemas import stop_event_findings
+from .config import identifiable_vehicle
 
 __all__ = ["EVENT_DTYPE", "ColumnarRun", "MalformedEvent", "ChunkPlan", "plan_chunk"]
 
@@ -88,15 +89,6 @@ class ChunkPlan:
 
     size: int
     items: list  # ColumnarRun | MalformedEvent
-
-
-def identifiable_vehicle(record) -> str | None:
-    """The non-blank string ``vehicle`` a record claims, if any."""
-    if isinstance(record, dict):
-        vehicle = record.get("vehicle")
-        if isinstance(vehicle, str) and vehicle.strip():
-            return vehicle
-    return None
 
 
 #: Largest integer magnitude the fast-shape check accepts for ``t``/

@@ -57,7 +57,6 @@ from pathlib import Path
 
 from ..engine.faults import owner_alive, pid_alive
 from ..errors import InvalidParameterError, ReproError
-from .advisor import AdvisorService
 from .frontend import parse_listen
 from .shard import SHARD_LOCK_NAME, ShardLockError, acquire_shard_lock, release_shard_lock
 from .wal import (
@@ -126,9 +125,18 @@ def service_roots(state_dir: str | Path) -> list[tuple[str, Path]]:
     """The service roots under ``state_dir`` as ``(key, path)``: its
     ``shard-*`` subdirectories when sharded, else the directory itself
     under key ``""``.  Keys are the unit of replication: watermarks,
-    shipped frames and relpaths are addressed by them."""
+    shipped frames and relpaths are addressed by them.
+
+    A dir holding both root files and ``shard-*`` dirs was written by
+    more than one shard count; every reader refuses it, since any one
+    reading would leave the other layout's state behind."""
     state_dir = Path(state_dir)
     shards = sorted(path for path in state_dir.glob("shard-*") if path.is_dir())
+    if shards and any((state_dir / name).exists() for name in ROOT_FILES):
+        raise InvalidParameterError(
+            f"{state_dir} holds both root files and shard dirs: it was "
+            "written by more than one shard count"
+        )
     return [(path.name, path) for path in shards] or [("", state_dir)]
 
 
@@ -136,18 +144,13 @@ def check_layout(state_dir: Path, roots: list[Path]) -> None:
     """Refuse ``state_dir`` unless it is empty or its roots are ``roots``.
 
     The layout names the shard count that wrote it (the rule of
-    :func:`service_roots`): root files at the top mean one shard,
-    ``shard-NN/`` dirs give their number, and both are refused.  Another
-    count would route vehicles away from the roots holding their state.
+    :func:`service_roots`): root files at the top mean one shard, and
+    ``shard-NN/`` dirs give their number.  Another count would route
+    vehicles away from the roots holding their state.
     """
     found = [path for key, path in service_roots(state_dir) if key]
-    top = [name for name in ROOT_FILES if (state_dir / name).exists()]
-    if found and top:
-        raise InvalidParameterError(
-            f"{state_dir} holds both root files and shard dirs: it was "
-            "written by more than one shard count"
-        )
-    found = found or ([state_dir] if top else [])
+    if not found and any((state_dir / name).exists() for name in ROOT_FILES):
+        found = [state_dir]
     if found and set(found) != set(roots):
         raise InvalidParameterError(
             f"{state_dir} was written by {len(found)} shard(s), with state in "
@@ -649,6 +652,8 @@ def promote(
     digests: dict[str, str] = {}
     costs: dict[str, float] = {}
     roots: list[str] = []
+    from .advisor import AdvisorService
+
     for _key, root in service_roots(state_dir):
         roots.append(str(root))
         lock = acquire_shard_lock(root)
@@ -896,8 +901,9 @@ def fleet_doctor(
     ``problems`` are states recovery would get *wrong* or data that is
     already lost (corrupt frames, seq gaps, a replica ahead of its
     primary, divergent digests at the same compaction point, a corrupt
-    backup); ``warnings`` are benign-but-notable (torn tails).  ``ok``
-    is ``problems == []``.  ``vehicles`` is keyed by vehicle id.
+    backup, root files next to shard dirs); ``warnings`` are
+    benign-but-notable (torn tails).  ``ok`` is ``problems == []``.
+    ``vehicles`` is keyed by vehicle id.
 
     With ``replica_dir``, per-vehicle lag (primary durable tip minus
     replica durable tip) is reported, watermarks are checked against
@@ -913,7 +919,12 @@ def fleet_doctor(
     warnings: list[str] = []
     vehicles: dict[str, dict] = {}
     summaries: dict[str, dict] = {}
-    for key, root in service_roots(state_dir):
+    try:
+        roots = service_roots(state_dir)
+    except InvalidParameterError as exc:
+        problems.append(f"mixed-layout: {exc}")
+        roots = []
+    for key, root in roots:
         summary = _check_root(key, root, problems, warnings)
         if summary is not None:
             summaries[key] = summary

@@ -68,7 +68,6 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -76,7 +75,6 @@ import numpy as np
 
 from ..constants import E
 from ..core.adaptive import RENORM_FLUSH, RENORM_INTERVAL, AdaptiveProposed
-from ..core.costs import validate_break_even
 from ..core.deterministic import Deterministic
 from ..core.kernels import VERTEX_NAMES, select_vertices
 from ..core.randomized import NRand
@@ -85,6 +83,7 @@ from ..errors import DegenerateStatisticsError, InvalidParameterError
 from ..engine.ledger import active_ledger
 from ..simulation.controller import StopStartController
 from ..validation import PolicyEnforcer
+from .config import SessionConfig
 from .drift import DriftDetector
 from .wal import SNAPSHOT_NAME, WAL_NAME, SnapshotStore, WriteAheadLog
 
@@ -111,85 +110,6 @@ class HealthState(str, Enum):
     HEALTHY = "healthy"
     DEGRADED = "degraded"
     SAFE = "safe"
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Tuning knobs of one advisor session.
-
-    Recovery is bit-identical only when the session is reopened with
-    the same config it ran under — the config is an input of the
-    deterministic apply path, not part of the durable state.
-    """
-
-    break_even: float
-    min_samples: int = 10
-    healthy_decay: float = 1.0
-    degraded_decay: float = 0.9
-    degraded_window: int = 32
-    recent_window: int = 128
-    dedup_window: int = 1024
-    snapshot_every: int = 64
-    safe_strategy: str = "nrand"
-    # Page-Hinkley knobs, in robust-σ units (deviations are self-scaled
-    # by a running mean absolute deviation — see repro.service.drift):
-    # delta 0.25 tolerates wander up to a quarter-MAD per observation;
-    # threshold 50 keeps the stationary false-alarm rate negligible even
-    # for heavy-tailed stop streams (typical stationary departures stay
-    # under ~15) while catching a one-MAD mean shift within ~50 stops.
-    length_delta: float = 0.25
-    length_threshold: float = 50.0
-    split_delta: float = 0.25
-    split_threshold: float = 50.0
-    drift_min_count: int = 20
-    recover_after: int = 50
-    safe_recover_after: int = 200
-    bad_event_streak: int = 5
-    seed: int = 20140601
-    # Bounded in-memory event tail kept while durability is suspended
-    # (disk fault): events past the bound are dropped-and-counted, so a
-    # long outage degrades availability of *history*, never memory.
-    suspend_buffer: int = 4096
-
-    def __post_init__(self) -> None:
-        validate_break_even(self.break_even)
-        if self.safe_strategy not in ("nrand", "det"):
-            raise InvalidParameterError(
-                f"safe_strategy must be 'nrand' or 'det', got {self.safe_strategy!r}"
-            )
-        for name in ("healthy_decay", "degraded_decay"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in (0, 1], got {value!r}")
-        for name in (
-            "min_samples",
-            "degraded_window",
-            "recent_window",
-            "dedup_window",
-            "snapshot_every",
-            "drift_min_count",
-            "recover_after",
-            "safe_recover_after",
-            "bad_event_streak",
-            "suspend_buffer",
-        ):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    @property
-    def safe_guarantee(self) -> float:
-        """The competitive-ratio bound of the SAFE fallback: N-Rand's
-        distribution-free ``e/(e-1)`` or DET's unconditional 2."""
-        return E / (E - 1.0) if self.safe_strategy == "nrand" else 2.0
-
-    def build_session(self, vehicle_id: str, state_dir=None, **kwargs):
-        """Construct the session this config describes.
-
-        The service layer calls this instead of naming a session class,
-        so config subclasses (the learning-augmented tier) can swap in
-        their own session without the service knowing about them.
-        """
-        return AdvisorSession(vehicle_id, self, state_dir, **kwargs)
 
 
 def vehicle_seed(base_seed: int, vehicle_id: str) -> np.random.SeedSequence:

@@ -73,8 +73,7 @@ from pathlib import Path
 
 from ..engine.ledger import RunLedger, active_ledger, use_ledger
 from ..errors import InvalidParameterError, ReproError
-from .advisor import AdvisorService, gate_on_replication
-from .batch import identifiable_vehicle
+from .config import gate_on_replication, identifiable_vehicle
 
 __all__ = [
     "HashRing",
@@ -371,6 +370,8 @@ def _shard_worker(
     service = None
     error = None
     try:
+        from .advisor import AdvisorService
+
         service = AdvisorService(Path(state_dir), config, policy=policy, fsync=fsync)
         with use_ledger(ledger):  # None: this fresh process has no ledger
             _worker_loop(shard, service, commands, conn, stopping, injector, beat_every)
@@ -549,6 +550,8 @@ class ShardedAdvisorService:
         self._shutdown = False
         self._procs: list = []
         if not self.worker_mode:
+            from .advisor import AdvisorService
+
             self._inline = [
                 AdvisorService(
                     self._shard_dir(index), config, policy=policy, fsync=fsync

@@ -1,20 +1,6 @@
 """Event-level stop-start controller simulation and cost accounting."""
 
-from .accounting import CostLedger
-from .controller import (
-    ObservingController,
-    OfflineController,
-    StopDecision,
-    StopStartController,
-)
-from .engine_sim import SimulationResult, realized_cr, simulate_stops, simulate_trace
-from .multistate import (
-    EnvelopeController,
-    MultistateSimulationResult,
-    MultistateStopRecord,
-    RandomizedMultislopeController,
-    simulate_multistate,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CostLedger",
@@ -32,3 +18,18 @@ __all__ = [
     "RandomizedMultislopeController",
     "simulate_multistate",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".accounting": ("CostLedger",),
+    ".controller": (
+        "ObservingController", "OfflineController", "StopDecision",
+        "StopStartController",
+    ),
+    ".engine_sim": (
+        "SimulationResult", "realized_cr", "simulate_stops", "simulate_trace",
+    ),
+    ".multistate": (
+        "EnvelopeController", "MultistateSimulationResult", "MultistateStopRecord",
+        "RandomizedMultislopeController", "simulate_multistate",
+    ),
+})

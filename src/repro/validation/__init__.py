@@ -18,25 +18,7 @@ Every ingestion point routes through here: stop CSVs and trace JSON
 (:mod:`repro.distributions`).  See ``docs/data-validation.md``.
 """
 
-from .repair import (
-    CsvQuarantineWriter,
-    JsonQuarantineWriter,
-    Policy,
-    PolicyEnforcer,
-    clean_stop_lengths,
-    resolve_policy,
-)
-from .report import Issue, ValidationReport
-from .schemas import (
-    CHECKS,
-    break_even_findings,
-    manifest_area_findings,
-    speed_sample_findings,
-    stop_event_findings,
-    stop_order_finding,
-    stop_row_findings,
-    trace_document_findings,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Policy",
@@ -56,3 +38,16 @@ __all__ = [
     "break_even_findings",
     "speed_sample_findings",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".repair": (
+        "CsvQuarantineWriter", "JsonQuarantineWriter", "Policy", "PolicyEnforcer",
+        "clean_stop_lengths", "resolve_policy",
+    ),
+    ".report": ("Issue", "ValidationReport"),
+    ".schemas": (
+        "CHECKS", "break_even_findings", "manifest_area_findings",
+        "speed_sample_findings", "stop_event_findings", "stop_order_finding",
+        "stop_row_findings", "trace_document_findings",
+    ),
+})

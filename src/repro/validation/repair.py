@@ -26,8 +26,6 @@ import json
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import DataValidationError, InvalidParameterError
 from .report import Issue, ValidationReport
 
@@ -212,6 +210,8 @@ def clean_stop_lengths(
     file for in-memory arrays, so both non-strict policies behave as
     ``repair`` here.  Returns the cleaned array.
     """
+    import numpy as np
+
     enforcer = PolicyEnforcer(policy, report, source)
     y = np.asarray(stop_lengths, dtype=float).ravel()
     enforcer.report.records_checked += int(y.size)

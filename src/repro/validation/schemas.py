@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
     "CHECKS",
     "stop_row_findings",
@@ -276,6 +274,8 @@ def break_even_findings(break_even: float) -> list[tuple[str, str, str]]:
 
 def speed_sample_findings(speeds: np.ndarray) -> list[tuple[int, str, str]]:
     """Per-sample findings for a raw speed array: ``(index, check, message)``."""
+    import numpy as np
+
     y = np.asarray(speeds, dtype=float).ravel()
     findings = []
     bad = ~np.isfinite(y)

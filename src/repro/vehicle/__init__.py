@@ -1,21 +1,7 @@
 """The Appendix C vehicle cost model: idling cost, restart cost and the
 break-even interval derivation."""
 
-from .battery import TABLE1_STOPS_PER_DAY_BOUND, BatteryModel, STOP_START_BATTERY
-from .costmodel import (
-    BreakEvenBreakdown,
-    VehicleCostModel,
-    conventional_cost_model,
-    ssv_cost_model,
-)
-from .emissions import (
-    ARGONNE_MEASUREMENTS,
-    SWEDEN_NOX_PRICING,
-    EmissionInventory,
-    EmissionPricing,
-)
-from .engine import CC_PER_GALLON, FORD_FUSION_2011, EngineSpec
-from .starter import CONVENTIONAL_STARTER, SSV_STARTER, StarterModel
+from .._lazy import lazy_exports
 
 __all__ = [
     "EngineSpec",
@@ -36,3 +22,17 @@ __all__ = [
     "ssv_cost_model",
     "conventional_cost_model",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".battery": ("TABLE1_STOPS_PER_DAY_BOUND", "BatteryModel", "STOP_START_BATTERY"),
+    ".costmodel": (
+        "BreakEvenBreakdown", "VehicleCostModel", "conventional_cost_model",
+        "ssv_cost_model",
+    ),
+    ".emissions": (
+        "ARGONNE_MEASUREMENTS", "SWEDEN_NOX_PRICING", "EmissionInventory",
+        "EmissionPricing",
+    ),
+    ".engine": ("CC_PER_GALLON", "FORD_FUSION_2011", "EngineSpec"),
+    ".starter": ("CONVENTIONAL_STARTER", "SSV_STARTER", "StarterModel"),
+})

@@ -15,6 +15,7 @@ from repro.constants import B_SSV
 from repro.engine import RunLedger
 from repro.service import AdvisorService, SessionConfig, SnapshotStore
 from repro.service.frontend import CHUNK_LINES
+from repro.service.shard import ShardedAdvisorService
 from repro.service.soak import build_fleet_events
 
 
@@ -260,9 +261,16 @@ class TestFaultClaimSweep:
         assert (claims / "cafebabe.0").exists()
 
 
-#: Runs in a fresh interpreter (the test process has scipy loaded by
-#: other tests): every serving entry point, then whatever scipy modules
-#: they left in ``sys.modules``, one per line.
+#: Each script runs in a fresh interpreter (the test process has numpy
+#: and scipy loaded by other tests) and ends by printing every module it
+#: left in ``sys.modules``, one ``loaded NAME`` line each.
+_LOADED = """
+for name in sorted(sys.modules):
+    print("loaded", name)
+"""
+
+#: Every serving entry point: serve (plain, DET-safe and augmented, each
+#: then recovered warm), replicate and promote.
 _SERVING_PATH = """
 import sys
 import repro.cli, repro.service, repro.service.shard, repro.service.replica
@@ -287,13 +295,109 @@ assert repro.cli.main([
 assert repro.cli.main([
     "promote", f"{root}/standby", "--snapshot-every", "5", *augmented,
 ]) == 0
-for name in sorted(sys.modules):
-    if name == "scipy" or name.startswith("scipy."):
-        print(name)
-"""
+""" + _LOADED
+
+#: The ``serve --shards 2`` parent: a client thread sends JSONL, then
+#: ``GET /health`` and ``GET /ready``, then ends the server with SIGTERM.
+_ROUTER = """
+import json, os, signal, socket, sys, threading, time
+import repro.cli
+
+state, sock = sys.argv[1:]
+
+def ask(text):
+    with socket.socket(socket.AF_UNIX) as conn:
+        conn.connect(sock)
+        conn.sendall(text.encode())
+        conn.shutdown(socket.SHUT_WR)
+        return conn.makefile().read()
+
+def client():
+    while not os.path.exists(sock):
+        time.sleep(0.02)
+    lines = [
+        json.dumps({"id": f"e-{i}", "vehicle": f"v{i % 6}", "t": float(i), "stop": 9.0})
+        for i in range(60)
+    ]
+    print("answers", len(ask("".join(line + "\\n" for line in lines)).splitlines()))
+    for path in ("/health", "/ready"):
+        print(path, ask(f"GET {path} HTTP/1.0\\r\\n\\r\\n").split()[1])
+    os.kill(os.getpid(), signal.SIGTERM)
+
+threading.Thread(target=client, daemon=True).start()
+assert repro.cli.main([
+    "serve", "-", "--state-dir", state, "--shards", "2", "--listen", "unix:" + sock,
+]) == 0
+""" + _LOADED
+
+#: One ``replicate --passes 1`` pass.
+_REPLICATE = """
+import sys
+import repro.cli
+
+primary, standby = sys.argv[1:]
+assert repro.cli.main([
+    "replicate", primary, "--standby", standby, "--passes", "1", "--interval", "0",
+]) == 0
+""" + _LOADED
+
+#: What a spawned shard worker imports: ``repro.cli`` re-run as
+#: ``__mp_main__`` (spawn does this when the parent ran ``-m repro.cli``),
+#: the pickled worker entry and config, then ``_shard_worker`` answering
+#: one chunk and stopping.
+_WORKER = """
+import queue, runpy, sys
+from multiprocessing import Pipe
+
+runpy.run_module("repro.cli", run_name="__mp_main__")
+from repro.service import SessionConfig, shard
+
+commands = queue.Queue()
+commands.put((1, "chunk", ['{"id": "e-1", "vehicle": "v1", "t": 0.0, "stop": 42.0}'], True))
+commands.put(None)
+answers, conn = Pipe(duplex=False)
+shard._shard_worker(
+    0, sys.argv[1], SessionConfig(break_even=28.0), "repair", False, None, commands, conn
+)
+print("worker", answers.recv()[0], answers.recv()[0])
+""" + _LOADED
+
+
+def _fresh(script: str, *args) -> tuple[str, set]:
+    """Run ``script`` in a fresh interpreter; its stdout and the modules
+    it left loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = {
+        line.split()[1] for line in result.stdout.splitlines()
+        if line.startswith("loaded ")
+    }
+    return result.stdout, loaded
+
+
+#: The session stack: what only a shard worker (or plain ``serve``) runs.
+_SESSION_STACK = {
+    "numpy",
+    "repro.service.session",
+    "repro.service.advisor",
+    "repro.service.batch",
+    "repro.service.drift",
+    "repro.service.augmented",
+}
 
 
 class TestServingPathImports:
+    """Each serving role imports only the code it runs: with ``.pyc``
+    files not written, every module a process imports is compiled at
+    its every start."""
+
     def test_serving_loads_no_scipy(self, tmp_path):
         # Serving is closed form per vehicle, so neither importing the
         # serving entry points nor serving, recovering, shipping and
@@ -306,22 +410,45 @@ class TestServingPathImports:
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         first.write_text("".join(line + "\n" for line in lines[:60]))
         second.write_text("".join(line + "\n" for line in lines[60:]))
-        env = dict(
-            os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])
-        )
-        result = subprocess.run(
-            [
-                sys.executable, "-c", _SERVING_PATH,
-                str(tmp_path / "state"), str(first), str(second),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "promoted" in result.stdout
-        loaded = [
-            line for line in result.stdout.splitlines() if line.startswith("scipy")
-        ]
-        assert loaded == []
+        out, loaded = _fresh(_SERVING_PATH, tmp_path / "state", first, second)
+        assert "promoted" in out
+        assert not {name for name in loaded if name.split(".")[0] == "scipy"}
+
+    def test_router_loads_no_numpy_or_session_code(self, tmp_path):
+        # The parent hashes vehicle ids and moves lines; its workers
+        # decide.  Answering JSONL, /health and /ready must not pull the
+        # session stack into it.
+        out, loaded = _fresh(_ROUTER, tmp_path / "state", tmp_path / "s.sock")
+        assert "answers 60" in out
+        assert "/health 200" in out and "/ready 200" in out
+        assert loaded & _SESSION_STACK == set()
+
+    def test_replicate_loads_no_numpy(self, tmp_path):
+        lines = [json.dumps(event) for event in build_fleet_events(6, 10, seed=7)]
+        config = SessionConfig(break_even=B_SSV)
+        service = ShardedAdvisorService(tmp_path / "primary", config, shards=2, workers=False)
+        service.submit_lines(lines)
+        service.close()
+        out, loaded = _fresh(_REPLICATE, tmp_path / "primary", tmp_path / "standby")
+        assert "shipped to" in out
+        assert loaded & _SESSION_STACK == set()
+
+    def test_worker_loads_no_front_end_replication_or_experiments(self, tmp_path):
+        out, loaded = _fresh(_WORKER, tmp_path / "shard-00")
+        assert "worker done stopped" in out
+        assert "repro.service.session" in loaded
+        forbidden = {
+            "repro.service.frontend",
+            "repro.service.replica",
+            "repro.traces",
+            "repro.vehicle",
+            "repro.simulation.engine_sim",
+            "repro.core.lp",
+            "repro.core.minimax",
+            "repro.core.multislope",
+            "repro.core.multislope_game",
+        }
+        assert loaded & forbidden == set()
+        experiments = {name for name in loaded if name.startswith("repro.experiments.")}
+        assert experiments <= {"repro.experiments.report"}
+        assert not {name for name in loaded if name.split(".")[0] == "scipy"}

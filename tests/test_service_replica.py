@@ -44,7 +44,12 @@ from repro.service.replica import (
     sync_once,
 )
 from repro.service.session import SessionConfig
-from repro.service.shard import ShardLockError, acquire_shard_lock, release_shard_lock
+from repro.service.shard import (
+    ShardedAdvisorService,
+    ShardLockError,
+    acquire_shard_lock,
+    release_shard_lock,
+)
 from repro.service.soak import build_fleet_events, run_stream
 from repro.service.wal import WriteAheadLog
 
@@ -442,6 +447,57 @@ class TestDoctorAndReadiness:
             assert any("watermarks corrupt" in r for r in verdict["reasons"])
         finally:
             service.close()
+
+
+def _mixed_layout(tmp_path):
+    """A state dir written by two shard counts: 60 events of 12 vehicles
+    served with one shard, then the shard dirs of 60 more served with
+    two shards elsewhere moved next to its root files."""
+    lines = [json.dumps(event) for event in build_fleet_events(12, 10, seed=43)]
+    mixed, other = tmp_path / "mixed", tmp_path / "other"
+    for state_dir, shards, chunk in ((mixed, 1, lines[:60]), (other, 2, lines[60:])):
+        service = ShardedAdvisorService(state_dir, CONFIG, shards=shards, workers=False)
+        service.submit_lines(chunk)
+        service.close()
+    for shard in ("shard-00", "shard-01"):
+        (other / shard).rename(mixed / shard)
+    return mixed
+
+
+class TestMixedLayout:
+    """Every reader of a state dir applies the layout rule the tier
+    does: root files next to ``shard-NN/`` dirs are refused, since
+    reading either layout alone leaves the other's state behind."""
+
+    def test_doctor_reports_a_mixed_layout(self, tmp_path, capsys):
+        from repro import cli
+
+        mixed = _mixed_layout(tmp_path)
+        assert cli.main(["fleet", "doctor", str(mixed)]) == 1
+        out = capsys.readouterr().out
+        assert f"problem: mixed-layout: {mixed} holds both root files" in out
+        assert "fleet is healthy" not in out
+
+    def test_replicate_promote_backup_restore_refuse_a_mixed_layout(
+        self, tmp_path, capsys
+    ):
+        from repro import cli
+
+        mixed = _mixed_layout(tmp_path)
+        clean = tmp_path / "clean"
+        _serve_registered(EVENTS, clean)
+        assert cli.main(["backup", str(clean), str(tmp_path / "archive")]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["replicate", str(mixed), "--standby", str(tmp_path / "standby"),
+             "--passes", "1", "--interval", "0"],
+            ["promote", str(mixed)],
+            ["backup", str(mixed), str(tmp_path / "mixed-archive")],
+            ["restore", str(tmp_path / "archive"), str(mixed)],
+        ):
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"error: {mixed} holds both root files and shard dirs" in err
 
 
 # -- crash-anywhere property (Hypothesis) -----------------------------------
