@@ -6,8 +6,8 @@ malformed-record rate — routed through
 :class:`repro.service.shard.ShardedAdvisorService` at each shard count
 in ``SHARD_COUNTS``, every worker running the durable columnar path
 (``fsync=True``).  Reported per shard count: events/s and the p50/p99
-dispatch-to-ack latency (the worst case an event in a chunk waited for
-its decision, queueing included).
+dispatch-to-ack latency per shard command (the worst case an event in
+a command waited for its decision, queueing included).
 
 Correctness gates before any timing is reported:
 
@@ -140,6 +140,8 @@ def synthetic_traffic(
 def _config() -> SessionConfig:
     # A lean dedup window: at 100k sessions per worker the per-session
     # history is the memory budget, and the stream never redelivers.
+    # The tier cuts each shard's part of a chunk into commands of at
+    # most this many lines (docs/performance.md).
     return SessionConfig(break_even=BREAK_EVEN, dedup_window=256, seed=3)
 
 

@@ -1110,7 +1110,7 @@ def _serve(args) -> int:
     """
     import json
 
-    from .service.frontend import CHUNK_LINES, JsonlFrontend
+    from .service.frontend import JsonlFrontend, pump
     from .service.shard import ShardedAdvisorService
 
     if args.shards is not None and args.shards < 1:
@@ -1122,19 +1122,6 @@ def _serve(args) -> int:
         if args.ledger is not None
         else None
     )
-
-    def _pump(service, handle) -> None:
-        pending: list[str] = []
-        for line in handle:
-            line = line.strip()
-            if line:
-                pending.append(line)
-                if len(pending) >= CHUNK_LINES:
-                    service.submit_lines(pending)
-                    pending.clear()
-        if pending:
-            service.submit_lines(pending)
-        service.drain()
 
     def _run() -> dict:
         service = ShardedAdvisorService(
@@ -1168,10 +1155,10 @@ def _serve(args) -> int:
                     if stdin is not None and stdin is not sys.stdin:
                         stdin.close()
             elif args.events == "-":
-                _pump(service, sys.stdin)
+                pump(service, sys.stdin)
             else:
                 with open(args.events) as handle:
-                    _pump(service, handle)
+                    pump(service, handle)
             return service.health_snapshot(include_vehicles=True)
         finally:
             service.close()
@@ -1179,13 +1166,16 @@ def _serve(args) -> int:
     with use_ledger(ledger):
         snapshot = _run()
 
-    ingest = snapshot["ingest"]
     routing = snapshot["routing"]
-    print(f"fleet cost:  {snapshot['fleet_cost']:.1f} idle-s "
-          f"over {len(snapshot['vehicles'])} vehicle(s)")
-    print(f"ingestion:   {ingest['received']} received, "
-          f"{ingest['duplicates']} duplicate(s), {ingest['rejected']} rejected, "
-          f"{ingest['malformed']} malformed")
+    if "fleet_cost" in snapshot:
+        ingest = snapshot["ingest"]
+        print(f"fleet cost:  {snapshot['fleet_cost']:.1f} idle-s "
+              f"over {len(snapshot['vehicles'])} vehicle(s)")
+        print(f"ingestion:   {ingest['received']} received, "
+              f"{ingest['duplicates']} duplicate(s), {ingest['rejected']} rejected, "
+              f"{ingest['malformed']} malformed")
+    else:
+        print("fleet cost:  unknown: no shard answered")
     print(f"sharded:     {routing['shards']} shard(s), "
           f"{routing['dispatched_events']} event(s) routed, "
           f"{routing['restarts']} worker restart(s)")
@@ -1207,7 +1197,7 @@ def _serve(args) -> int:
             f"{info['total_cost']:.1f}",
             str(len(info["transitions"])),
         )
-        for info in snapshot["vehicles"].values()
+        for info in snapshot.get("vehicles", {}).values()
     ]
     print(format_table(
         ("vehicle", "health", "strategy", "applied", "cost", "transitions"), rows

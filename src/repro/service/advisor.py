@@ -30,15 +30,10 @@ from pathlib import Path
 from ..validation import CsvQuarantineWriter, PolicyEnforcer, ValidationReport
 from ..validation.schemas import stop_event_findings
 from .batch import MalformedEvent, plan_chunk
-from .config import SessionConfig, gate_on_replication, identifiable_vehicle
+from .config import SessionConfig, identifiable_vehicle
 from .session import AdvisorSession, SessionRoot
 
-__all__ = [
-    "AdvisorService",
-    "RegisteredAdvisorService",
-    "gate_on_replication",
-    "parse_event_line",
-]
+__all__ = ["AdvisorService", "RegisteredAdvisorService", "parse_event_line"]
 
 
 def parse_event_line(line: str):
@@ -77,12 +72,6 @@ class AdvisorService:
         store (:class:`repro.engine.faults.FsFaultInjector`); the
         ordinal schedule then covers the whole service's disk traffic,
         which is how the disk-fault soak is driven.
-    replication:
-        Optional :class:`repro.service.replica.ReplicationMonitor`.
-        When set, :meth:`health_snapshot` carries a ``replication``
-        section (per-vehicle lag against the standby's watermarks) and
-        :meth:`readiness` refuses traffic with a machine-readable
-        reason while any session lags past the monitor's bound.
     """
 
     def __init__(
@@ -95,14 +84,12 @@ class AdvisorService:
         fsync: bool = False,
         source: str = "events",
         fs=None,
-        replication=None,
     ) -> None:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self._root = SessionRoot(self.state_dir, config, fsync=fsync, fs=fs)
         self.config = config
         self.policy = policy
-        self.replication = replication
         self.report = report if report is not None else ValidationReport(str(policy))
         self._enforcer = PolicyEnforcer(policy, self.report, source)
         self._enforcer.attach_quarantine_writer(
@@ -268,84 +255,52 @@ class AdvisorService:
     def health_snapshot(self, include_vehicles: bool = True) -> dict:
         """Operator-facing service view: fleet totals + per-vehicle state.
 
-        ``include_vehicles=False`` keeps the same schema but leaves the
-        ``vehicles`` map empty — the sharded tier aggregates snapshots
-        across workers, where a 100k-vehicle per-session map would make
-        every ``/health`` poll cost megabytes of pickled payload.
+        The one definition of a shard's counters: the sharded tier sums
+        its shards' snapshots key by key, so a counter added here shows
+        up fleet-wide.  ``include_vehicles=False`` leaves the
+        ``vehicles`` map empty, which keeps a tier's ``/health`` poll
+        O(shards) instead of O(fleet).
         """
-        vehicles = (
-            {
-                vehicle_id: session.health_snapshot()
-                for vehicle_id, session in sorted(self.sessions.items())
-            }
-            if include_vehicles
-            else {}
-        )
-        snapshot = {
+        sessions = self.sessions.values()
+        events, wall_s = self.batch_events, self.batch_seconds
+        return {
             "fleet_cost": self.fleet_cost,
-            "vehicles": vehicles,
+            "vehicle_count": len(self.sessions),
+            "vehicles": (
+                {
+                    vehicle_id: session.health_snapshot()
+                    for vehicle_id, session in sorted(self.sessions.items())
+                }
+                if include_vehicles
+                else {}
+            ),
             "ingest": {
                 "received": self.received,
                 "malformed": self.malformed,
-                "duplicates": sum(s.duplicates for s in self.sessions.values()),
-                "rejected": sum(s.rejected for s in self.sessions.values()),
+                "duplicates": sum(s.duplicates for s in sessions),
+                "rejected": sum(s.rejected for s in sessions),
                 "batch": {
                     "chunks": self.batch_chunks,
-                    "events": self.batch_events,
-                    "wall_s": self.batch_seconds,
-                    "events_per_s": (
-                        self.batch_events / self.batch_seconds
-                        if self.batch_seconds > 0.0
-                        else 0.0
-                    ),
+                    "events": events,
+                    "wall_s": wall_s,
+                    "events_per_s": events / wall_s if wall_s > 0.0 else 0.0,
                 },
             },
             "states": {
-                state: sum(
-                    1 for s in self.sessions.values() if s.health.value == state
-                )
+                state: sum(1 for s in sessions if s.health.value == state)
                 for state in ("healthy", "degraded", "safe")
             },
-            "durability": self.durability_summary(),
+            # The DURABILITY_SUSPENDED overlay.
+            "durability": {
+                "suspended_sessions": sum(
+                    1 for s in sessions if s.durability_suspended
+                ),
+                "buffered_events": sum(len(s._suspend_buffer) for s in sessions),
+                "dropped_events": sum(s.suspend_dropped for s in sessions),
+                "suspensions": sum(s.suspensions for s in sessions),
+                "resumes": sum(s.resumes for s in sessions),
+            },
         }
-        if self.replication is not None:
-            snapshot["replication"] = self.replication.snapshot()
-        return snapshot
-
-    def durability_summary(self) -> dict:
-        """Aggregated DURABILITY_SUSPENDED overlay across sessions."""
-        sessions = self.sessions.values()
-        return {
-            "suspended_sessions": sum(
-                1 for s in sessions if s.durability_suspended
-            ),
-            "buffered_events": sum(len(s._suspend_buffer) for s in sessions),
-            "dropped_events": sum(s.suspend_dropped for s in sessions),
-            "suspensions": sum(s.suspensions for s in sessions),
-            "resumes": sum(s.resumes for s in sessions),
-        }
-
-    def readiness(self) -> dict:
-        """What a load balancer should gate on: ``{"ready", "reasons"}``.
-
-        Distinct from :meth:`health_snapshot` — health reports, readiness
-        *decides*.  A service with any durability-suspended session is
-        serving SAFE decisions (still correct under the distribution-free
-        guarantee) but cannot persist state, so new traffic should go
-        elsewhere while it heals.
-        """
-        suspended = sorted(
-            vehicle
-            for vehicle, session in self.sessions.items()
-            if session.durability_suspended
-        )
-        reasons = []
-        if suspended:
-            reasons.append(
-                f"durability suspended for {len(suspended)} session(s): "
-                f"{suspended[:5]}"
-            )
-        return gate_on_replication(self.replication, reasons)
 
     def close(self) -> None:
         """Flush durable state: a final compaction of the root when any

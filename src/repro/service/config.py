@@ -1,8 +1,8 @@
-"""What every serving process shares, without numpy: the session config,
-the vehicle a record is routed by, and the readiness verdict.
+"""What every serving process shares, without numpy: the session config
+and the vehicle a record is routed by.
 
-The ``serve --shards N`` parent routes lines and answers ``/ready``;
-only its shard workers run sessions.  Both import this module (a pickled
+The ``serve --shards N`` parent routes lines; only its shard workers
+run sessions.  Both import this module (a pickled
 :class:`SessionConfig` names it), so it loads no session code.
 """
 
@@ -14,7 +14,7 @@ from ..constants import E
 from ..core.costs import validate_break_even
 from ..errors import InvalidParameterError
 
-__all__ = ["SessionConfig", "gate_on_replication", "identifiable_vehicle"]
+__all__ = ["SessionConfig", "identifiable_vehicle"]
 
 
 @dataclass(frozen=True)
@@ -106,30 +106,3 @@ def identifiable_vehicle(record) -> str | None:
             return vehicle
     return None
 
-
-def gate_on_replication(replication, reasons: list) -> dict:
-    """Fold replication lag into a readiness verdict.
-
-    Shared by the single-process and sharded tiers so ``/ready`` speaks
-    one schema: the verdict carries the monitor's full lag snapshot
-    under ``"replication"`` (machine-readable), and flips not-ready when
-    lag exceeds the monitor's bound or the standby's watermark file is
-    unreadable (its state is then unknown — the conservative verdict).
-    """
-    verdict = {"ready": True, "reasons": reasons}
-    if replication is not None:
-        lag = replication.snapshot()
-        verdict["replication"] = lag
-        if not lag["within_bound"]:
-            if lag["watermarks_corrupt"]:
-                reasons.append(
-                    "replication watermarks corrupt: standby state unknown"
-                )
-            else:
-                reasons.append(
-                    f"replication lag {lag['max_lag_events']} events exceeds "
-                    f"bound {lag['max_lag_bound']} "
-                    f"({lag['vehicles_lagging']} session(s) lagging)"
-                )
-    verdict["ready"] = not reasons
-    return verdict

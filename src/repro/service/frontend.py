@@ -39,11 +39,10 @@ import asyncio
 import contextlib
 import json
 import signal
-import sys
 
 from ..errors import InvalidParameterError
 
-__all__ = ["CHUNK_LINES", "JsonlFrontend", "parse_listen"]
+__all__ = ["CHUNK_LINES", "JsonlFrontend", "parse_listen", "pump"]
 
 #: Seconds to wait for more bytes, after each arrival, before routing a
 #: chunk that has lines.
@@ -51,8 +50,8 @@ _LINGER_S = 0.005
 #: Most bytes taken from a connection's stream buffer per read.
 _READ_BYTES = 1 << 18
 #: Max lines routed as one chunk, by a connection's micro-batching and
-#: by ``serve``'s file/stdin pump alike (bounds per-request latency and
-#: memory; decisions are identical for any chunking).
+#: by :func:`pump` alike (bounds per-request latency and memory;
+#: decisions are identical for any chunking).
 CHUNK_LINES = 1024
 #: Bound on one JSONL line / HTTP request line.
 _LINE_LIMIT = 1 << 20
@@ -106,6 +105,31 @@ def parse_listen(address: str) -> tuple:
             "unix:PATH, a socket path, HOST:PORT or :PORT"
         )
     return ("tcp", host or "127.0.0.1", int(port))
+
+
+def pump(service, stream, stopped=None) -> int:
+    """Route a JSONL line stream (a file, stdin) through ``service`` in
+    chunks of at most `CHUNK_LINES` lines, wait until every chunk is
+    answered, and return the lines routed.  Stops early once
+    ``stopped.is_set()``.  ``serve`` runs it alone, or beside the socket
+    in a thread, since reading the stream blocks."""
+    routed = 0
+    pending: list[str] = []
+    for line in stream:
+        line = line.strip()
+        if line:
+            pending.append(line)
+            if len(pending) >= CHUNK_LINES:
+                service.submit_lines(pending)
+                routed += len(pending)
+                pending = []
+        if stopped is not None and stopped.is_set():
+            break
+    if pending:
+        service.submit_lines(pending)
+        routed += len(pending)
+    service.drain()
+    return routed
 
 
 class _LineReader:
@@ -339,35 +363,6 @@ class JsonlFrontend:
                 writer.close()
                 await writer.wait_closed()
 
-    # -- stdin pump -------------------------------------------------------
-
-    async def pump_stdin(self, stream=None, out=None) -> int:
-        """Route a JSONL stream from ``stream`` (default stdin); returns events routed."""
-        stream = stream if stream is not None else sys.stdin
-        routed = 0
-        pending: list[str] = []
-
-        async def flush() -> None:
-            nonlocal routed
-            if pending:
-                answers = await self._route(pending)
-                routed += len(pending)
-                pending.clear()
-                if out is not None:
-                    out.write("\n".join(answers) + "\n")
-
-        for line in stream:
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            pending.append(line)
-            if len(pending) >= CHUNK_LINES:
-                await flush()
-            if self._stop is not None and self._stop.is_set():
-                break
-        await flush()
-        return routed
-
     # -- lifecycle --------------------------------------------------------
 
     async def serve(
@@ -375,14 +370,14 @@ class JsonlFrontend:
         listen: str | None = None,
         *,
         stdin=None,
-        stdin_out=None,
         ready=None,
         install_signals: bool = True,
     ) -> None:
         """Run until SIGTERM/SIGINT (or stdin EOF when socket-less).
 
         ``listen`` is a :func:`parse_listen` spec; ``stdin`` (a line
-        iterable) additionally pumps a JSONL stream through the fleet.
+        iterable) additionally goes through :func:`pump`, in a thread, so
+        the socket is served while the stream is idle.
         ``ready`` (an ``asyncio.Event``) is set once the socket accepts
         — the tests use it instead of polling.  Closing the service —
         the graceful fleet drain — is the caller's job, so a CLI can
@@ -411,7 +406,9 @@ class JsonlFrontend:
             if ready is not None:
                 ready.set()
             if stdin is not None:
-                await self.pump_stdin(stdin, stdin_out)
+                self.requests += await asyncio.to_thread(
+                    pump, self.service, stdin, self._stop
+                )
                 if server is None:
                     return  # pure pipe mode: EOF is shutdown
             await self._stop.wait()

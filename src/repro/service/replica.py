@@ -1045,11 +1045,11 @@ def fleet_doctor(
 class ReplicationMonitor:
     """Live replication-lag gauge for a primary's health/readiness.
 
-    Wire into ``AdvisorService(..., replication=monitor)`` (or the
-    sharded service): ``health_snapshot()`` then carries a
-    ``replication`` section, keyed by vehicle, and ``/ready`` flips to
-    503 with a machine-readable reason while any vehicle lags past
-    ``max_lag`` events.  Reads the primary's durable tips and the
+    Wire into ``ShardedAdvisorService(..., replication=monitor)``, the
+    tier every ``serve`` runs and the only place readiness is decided:
+    ``health_snapshot()`` then carries a ``replication`` section, keyed
+    by vehicle, and ``/ready`` flips to 503 with a machine-readable
+    reason while any vehicle lags past ``max_lag`` events.  Reads the primary's durable tips and the
     standby's watermark file — both crash-safe artifacts — so it is
     accurate across restarts of either side.
     """

@@ -42,8 +42,9 @@ any crash; a command at the head of the in-flight ledger across
 between respawns) trips a circuit breaker — it stays down and its
 traffic is shed with count instead of burning respawns forever.
 
-Each worker guards its state directory with a ``shard.lock`` file
-recording its pid plus a ``/proc`` start-time token (``O_CREAT |
+Each shard's state directory is guarded by a ``shard.lock`` file (its
+worker's, or the tier's for an in-process shard) recording the owner's
+pid plus a ``/proc`` start-time token (``O_CREAT |
 O_EXCL`` — the same owner discipline as :mod:`repro.engine.faults`
 claim files, immune to pid reuse).  A stale lock left by a
 SIGKILLed worker is swept automatically on the next acquire, and
@@ -73,7 +74,7 @@ from pathlib import Path
 
 from ..engine.ledger import RunLedger, active_ledger, use_ledger
 from ..errors import InvalidParameterError, ReproError
-from .config import gate_on_replication, identifiable_vehicle
+from .config import identifiable_vehicle
 
 __all__ = [
     "HashRing",
@@ -97,7 +98,7 @@ _BACKOFF_CAP_S = 5.0
 #: Poison-chunk quarantine sidecar (JSONL, parent-side, with provenance
 #: — the shard-tier mirror of the validation layer's quarantine files).
 POISON_SIDECAR_NAME = "poison.quarantine.jsonl"
-#: Per-chunk latency samples kept for :meth:`take_latencies`; older
+#: Per-command latency samples kept for :meth:`take_latencies`; older
 #: samples are dropped, so a tier nobody drains holds a bounded window.
 _LATENCY_SAMPLES = 4096
 
@@ -278,12 +279,29 @@ def _answer(service: AdvisorService, kind: str, arg, want: bool):
     if not want:
         return None
     if kind == "health":
-        snapshot = service.health_snapshot(include_vehicles=arg)
-        snapshot["vehicle_count"] = len(service.sessions)
-        return snapshot
+        return service.health_snapshot(include_vehicles=arg)
     return {
         vehicle_id: session.state_digest()
         for vehicle_id, session in sorted(service.sessions.items())
+    }
+
+
+def _sum_snapshots(snapshots) -> dict:
+    """Shard health snapshots summed key by key: numbers add, maps merge,
+    and a key only one shard has (a vehicle's row) is copied."""
+    values: dict = {}
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            values.setdefault(key, []).append(value)
+    return {
+        key: (
+            parts[0]
+            if len(parts) == 1
+            else _sum_snapshots(parts)
+            if isinstance(parts[0], dict)
+            else sum(parts[1:], parts[0])
+        )
+        for key, parts in values.items()
     }
 
 
@@ -328,7 +346,7 @@ def _worker_loop(
         answer = _answer(service, kind, arg, want)
         # The done stamp is CLOCK_MONOTONIC, comparable with the parent's
         # dispatch stamp on the same host — it is the p50/p99
-        # chunk-latency sample.
+        # command-latency sample.
         conn.send(("done", shard, request_id, time.monotonic(), answer))
         last_sent = time.monotonic()
 
@@ -419,9 +437,10 @@ class ShardedAdvisorService:
         keeps every shard in process: the same routing and the same
         commands, each answered in the caller's thread — no
         parallelism, but byte-for-byte the same partition, and a
-        failure raises to the caller.  Plain ``serve`` runs this mode
-        with one shard; its commands share one lock, because the front
-        end calls from worker threads, one per open connection.
+        failure raises to the caller.  The tier holds each shard's
+        ``shard.lock`` until :meth:`close`.  Plain ``serve`` runs this
+        mode with one shard; its commands share one lock, because the
+        front end calls from worker threads, one per open connection.
     queue_depth:
         Bound on each shard's pending-command queue; a full queue
         blocks the caller (lossless backpressure).
@@ -552,12 +571,20 @@ class ShardedAdvisorService:
         if not self.worker_mode:
             from .advisor import AdvisorService
 
-            self._inline = [
-                AdvisorService(
-                    self._shard_dir(index), config, policy=policy, fsync=fsync
-                )
-                for index in range(self.shards)
-            ]
+            self._held_locks: list[Path] = []
+            try:
+                for index in range(self.shards):
+                    self._held_locks.append(acquire_shard_lock(self._shard_dir(index)))
+                self._inline = [
+                    AdvisorService(
+                        self._shard_dir(index), config, policy=policy, fsync=fsync
+                    )
+                    for index in range(self.shards)
+                ]
+            except BaseException:
+                for lock in self._held_locks:
+                    release_shard_lock(lock)
+                raise
             return
         self._context = multiprocessing.get_context("spawn")
         self._shard_locks = [threading.Lock() for _ in range(self.shards)]
@@ -620,7 +647,8 @@ class ShardedAdvisorService:
     # -- routing/partition ------------------------------------------------
 
     def _partition(self, lines: list[str]) -> list[tuple[int, tuple[list, list]]]:
-        """Group JSONL lines by owning shard, preserving in-chunk order.
+        """Group JSONL lines by owning shard, preserving in-chunk order,
+        into commands of at most ``config.dedup_window`` lines.
 
         Decoded once here for routing only; workers re-parse their own
         sub-chunk (in parallel, through the same ``ingest_lines`` array
@@ -630,34 +658,45 @@ class ShardedAdvisorService:
         lines only touch malformed counters, never a session.  Each
         key is hashed once per call.  One shard owns every line, so a
         one-shard tier skips the decode.
+
+        The cut keeps redelivery exact: a worker answers each command
+        before taking the next, so only the one it died on can have been
+        applied unanswered, and at most ``dedup_window`` lines redeliver
+        as duplicates only.
         """
-        if self.shards == 1:
-            return [(0, (list(range(len(lines))), lines))]
-        try:
-            records = json.loads("[" + ",".join(lines) + "]")
-            if len(records) != len(lines):
-                records = None
-        except json.JSONDecodeError:
-            records = None
-        if records is None:
-            records = []
-            for line in lines:
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    records.append(None)
         groups: dict[int, tuple[list, list]] = {}
-        owners: dict[str, int] = {}
-        for position, (line, record) in enumerate(zip(lines, records)):
-            vehicle = identifiable_vehicle(record)
-            key = vehicle if vehicle is not None else line
-            shard = owners.get(key)
-            if shard is None:
-                shard = owners[key] = self.ring.route(key)
-            bucket = groups.setdefault(shard, ([], []))
-            bucket[0].append(position)
-            bucket[1].append(line)
-        return sorted(groups.items())
+        if self.shards == 1:
+            groups[0] = (list(range(len(lines))), lines)
+        else:
+            try:
+                records = json.loads("[" + ",".join(lines) + "]")
+                if len(records) != len(lines):
+                    records = None
+            except json.JSONDecodeError:
+                records = None
+            if records is None:
+                records = []
+                for line in lines:
+                    try:
+                        records.append(json.loads(line))
+                    except json.JSONDecodeError:
+                        records.append(None)
+            owners: dict[str, int] = {}
+            for position, (line, record) in enumerate(zip(lines, records)):
+                vehicle = identifiable_vehicle(record)
+                key = vehicle if vehicle is not None else line
+                shard = owners.get(key)
+                if shard is None:
+                    shard = owners[key] = self.ring.route(key)
+                bucket = groups.setdefault(shard, ([], []))
+                bucket[0].append(position)
+                bucket[1].append(line)
+        window = self.config.dedup_window
+        return [
+            (shard, (positions[start : start + window], part[start : start + window]))
+            for shard, (positions, part) in sorted(groups.items())
+            for start in range(0, len(part), window)
+        ]
 
     @staticmethod
     def _as_lines(lines) -> list[str]:
@@ -849,11 +888,11 @@ class ShardedAdvisorService:
     # -- observability ----------------------------------------------------
 
     def take_latencies(self) -> list[tuple[float, int]]:
-        """Drain the newest per-chunk ``(latency_s, events)`` samples (at
-        most ``_LATENCY_SAMPLES``).
+        """Drain the newest per-command ``(latency_s, events)`` samples
+        (at most ``_LATENCY_SAMPLES``).
 
         Latency is dispatch-to-worker-answer wall time — the worst case
-        an event in the chunk waited for its decision (queueing
+        an event in the command waited for its decision (queueing
         included).  In-process shards record none.
         """
         with self._lock:
@@ -874,74 +913,48 @@ class ShardedAdvisorService:
     def health_snapshot(
         self, include_vehicles: bool = False, timeout: float | None = None
     ) -> dict:
-        """Fleet-wide health: per-shard snapshots aggregated.
+        """Fleet-wide health: the shards' snapshots summed, plus
+        ``routing``, ``shards`` (one row per shard; a worker's row adds
+        pid, liveness, restarts, hangs, acks, in-flight depth and
+        breaker state) and, with a monitor, ``replication``.
 
-        Same core schema as ``AdvisorService.health_snapshot`` —
-        ``fleet_cost`` / ``vehicles`` / ``ingest`` / ``states`` — plus
-        ``routing`` (ring + tier-level counters) and ``shards`` (one
-        row per shard; a worker's row adds pid, liveness, restarts,
-        hangs, acked chunks/events, in-flight depth, breaker state).
-        ``include_vehicles=False`` keeps the payload O(shards), not
-        O(fleet) — at 100k vehicles the per-vehicle map is megabytes.
-
-        A breaker-open shard contributes a ``"down": True`` row with
-        ``None`` health fields — its worker is gone, so its session
-        state is unreadable, but the fleet snapshot must still answer.
+        Set here is only what a sum cannot give: ``fleet_cost`` in
+        sorted-vehicle order when vehicles are included (bitwise the
+        single-process total) and ``ingest.batch.events_per_s``.  A
+        shard that does not answer (breaker open) gets a ``"down"`` row
+        of ``None`` fields; with none answering, the totals are absent:
+        unknown, not zero.
         """
         snapshots = self._ask(
             "health",
             [(shard, include_vehicles) for shard in range(self.shards)],
             timeout,
         )
-        live = [snapshot for snapshot in snapshots if snapshot is not None]
-        vehicles: dict = {}
-        for snapshot in live:
-            vehicles.update(snapshot["vehicles"])
-        vehicles = dict(sorted(vehicles.items()))
-        if include_vehicles and vehicles:
-            # Sum in sorted-vehicle order: bitwise-reproducible across
-            # shard counts (a single-process snapshot sums the same way).
-            fleet_cost = sum(info["total_cost"] for info in vehicles.values())
-        else:
-            fleet_cost = sum(snapshot["fleet_cost"] for snapshot in live)
-
-        def _total(*keys):
-            total = 0.0 if "wall_s" in keys else 0
-            for snapshot in live:
-                value = snapshot["ingest"]
-                for key in keys:
-                    value = value[key]
-                total += value
-            return total
-
-        def _durability_total(key):
-            return sum(
-                snapshot.get("durability", {}).get(key, 0) for snapshot in live
-            )
-
-        batch_events = _total("batch", "events")
-        batch_wall = _total("batch", "wall_s")
-        shard_rows = []
-        for index, snapshot in enumerate(snapshots):
-            if snapshot is None:
-                row = {
-                    "shard": index,
-                    "down": True,
-                    "vehicles": None,
-                    "fleet_cost": None,
-                    "states": None,
-                }
-            else:
-                row = {
-                    "shard": index,
-                    "vehicles": snapshot["vehicle_count"],
-                    "fleet_cost": snapshot["fleet_cost"],
-                    "states": snapshot["states"],
-                }
-            shard_rows.append(row)
+        fleet = _sum_snapshots(s for s in snapshots if s is not None)
+        if fleet:
+            vehicles = fleet["vehicles"] = dict(sorted(fleet["vehicles"].items()))
+            if vehicles:
+                fleet["fleet_cost"] = sum(v["total_cost"] for v in vehicles.values())
+            batch = fleet["ingest"]["batch"]
+            wall_s = batch["wall_s"]
+            batch["events_per_s"] = batch["events"] / wall_s if wall_s > 0.0 else 0.0
+        down = {"down": True, "vehicles": None, "fleet_cost": None, "states": None}
+        rows = [
+            {"shard": index, **down}
+            if snapshot is None
+            else {
+                "shard": index,
+                "vehicles": snapshot["vehicle_count"],
+                "fleet_cost": snapshot["fleet_cost"],
+                "states": snapshot["states"],
+            }
+            for index, snapshot in enumerate(snapshots)
+        ]
+        if self.replication is not None:
+            fleet["replication"] = self.replication.snapshot()
         with self._lock:
             for index, process in enumerate(self._procs):
-                shard_rows[index].update(
+                rows[index].update(
                     pid=None if process is None else process.pid,
                     alive=process is not None and process.is_alive(),
                     restarts=self.restarts[index],
@@ -953,68 +966,33 @@ class ShardedAdvisorService:
                     events_acked=self._acked_events[index],
                     in_flight=len(self._in_flight[index]),
                 )
-        return {
-            "fleet_cost": fleet_cost,
-            "vehicles": vehicles,
-            "ingest": {
-                "received": _total("received"),
-                "malformed": _total("malformed"),
-                "duplicates": _total("duplicates"),
-                "rejected": _total("rejected"),
-                "batch": {
-                    "chunks": _total("batch", "chunks"),
-                    "events": batch_events,
-                    "wall_s": batch_wall,
-                    "events_per_s": (
-                        batch_events / batch_wall if batch_wall > 0.0 else 0.0
-                    ),
-                },
-            },
-            "states": {
-                state: sum(snapshot["states"][state] for snapshot in live)
-                for state in ("healthy", "degraded", "safe")
-            },
-            "durability": {
-                key: _durability_total(key)
-                for key in (
-                    "suspended_sessions",
-                    "buffered_events",
-                    "dropped_events",
-                    "suspensions",
-                    "resumes",
-                )
-            },
-            **(
-                {"replication": self.replication.snapshot()}
-                if self.replication is not None
-                else {}
-            ),
-            "routing": {
-                "algorithm": "consistent-hash",
-                "shards": self.shards,
-                "replicas": self.ring.replicas,
-                "queue_depth": self.queue_depth,
-                "dispatched_events": self.dispatched_events,
-                "restarts": sum(self.restarts),
-                "hangs": sum(self.hangs),
-                "hang_timeout": self.hang_timeout,
-                "quarantined_chunks": self.quarantined_chunks,
-                "quarantined_events": self.quarantined_events,
-                "breaker_open": sorted(self.breaker_open),
-                "breaker_shed": self.breaker_shed,
-            },
-            "shards": shard_rows,
+        fleet["routing"] = {
+            "algorithm": "consistent-hash",
+            "shards": self.shards,
+            "replicas": self.ring.replicas,
+            "queue_depth": self.queue_depth,
+            "dispatched_events": self.dispatched_events,
+            "restarts": sum(self.restarts),
+            "hangs": sum(self.hangs),
+            "hang_timeout": self.hang_timeout,
+            "quarantined_chunks": self.quarantined_chunks,
+            "quarantined_events": self.quarantined_events,
+            "breaker_open": sorted(self.breaker_open),
+            "breaker_shed": self.breaker_shed,
         }
+        fleet["shards"] = rows
+        return fleet
 
     def readiness(self, timeout: float | None = 5.0) -> dict:
         """Serving-readiness verdict for the front end's ``GET /ready``.
 
         Stricter than liveness: ready means every shard's worker is
-        alive, no circuit breaker is open, no worker has failed, and no
-        session anywhere in the fleet is durability-suspended.  Returns
-        ``{"ready": bool, "reasons": [str, ...]}`` — reasons name what
-        is wrong so the probe's consumer (a load balancer, an operator)
-        can tell a crash loop from a full disk.
+        alive, no circuit breaker is open, no worker has failed, no
+        session is durability-suspended and the standby, if monitored,
+        is within its lag bound.  Returns ``{"ready": bool, "reasons":
+        [str, ...]}`` (plus the monitor's ``"replication"`` lag) —
+        reasons name what is wrong so the probe's consumer can tell a
+        crash loop from a full disk.
         """
         reasons: list[str] = []
         with self._lock:
@@ -1049,7 +1027,20 @@ class ShardedAdvisorService:
                             f"shard {index}: durability suspended on "
                             f"{suspended} session(s)"
                         )
-        return gate_on_replication(self.replication, reasons)
+        verdict = {"ready": True, "reasons": reasons}
+        if self.replication is not None:
+            # Unreadable watermarks: the standby's state is unknown.
+            lag = verdict["replication"] = self.replication.snapshot()
+            if lag["watermarks_corrupt"]:
+                reasons.append("replication watermarks corrupt: standby state unknown")
+            elif not lag["within_bound"]:
+                reasons.append(
+                    f"replication lag {lag['max_lag_events']} events exceeds "
+                    f"bound {lag['max_lag_bound']} "
+                    f"({lag['vehicles_lagging']} session(s) lagging)"
+                )
+        verdict["ready"] = not reasons
+        return verdict
 
     # -- worker lifecycle -------------------------------------------------
 
@@ -1446,8 +1437,12 @@ class ShardedAdvisorService:
             with self._lock:
                 if not self._shutdown:
                     self._shutdown = True
-                    for service in self._inline:
-                        service.close()
+                    try:
+                        for service in self._inline:
+                            service.close()
+                    finally:
+                        for lock in self._held_locks:
+                            release_shard_lock(lock)
             return
         with self._lock:
             if self._shutdown:

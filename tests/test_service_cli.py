@@ -59,6 +59,32 @@ class TestServe:
             assert info["health"] in ("healthy", "degraded", "safe")
             assert "digest" in info
 
+    def test_serve_summary_says_when_no_shard_answers(
+        self, events_file, tmp_path, capsys, monkeypatch
+    ):
+        """With no shard answering health (every breaker open) the fleet
+        totals are unknown: the exit summary says so instead of raising,
+        and the --health dump holds only the tier's keys."""
+        from repro.service import shard as shard_module
+
+        answer = shard_module._answer
+        monkeypatch.setattr(
+            shard_module,
+            "_answer",
+            lambda service, kind, arg, want: (
+                None if kind == "health" else answer(service, kind, arg, want)
+            ),
+        )
+        health = tmp_path / "health.json"
+        assert main([
+            "serve", str(events_file), "--state-dir", str(tmp_path / "state"),
+            "--health", str(health),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "fleet cost:  unknown: no shard answered" in out
+        assert "24 event(s) routed" in out
+        assert sorted(json.loads(health.read_text())) == ["routing", "shards"]
+
     def test_serve_restart_recovers_and_dedups(self, events_file, tmp_path, capsys):
         state_dir = tmp_path / "state"
         assert main(["serve", str(events_file), "--state-dir", str(state_dir)]) == 0

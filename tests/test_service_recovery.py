@@ -264,6 +264,56 @@ class TestSharedRootLog:
                 recovered.ingest_lines(FLEET[start : start + redeliver])
             assert _fleet_digests(recovered) == CLEAN_FLEET
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stream=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.floats(min_value=0.0, max_value=50.0),
+                st.floats(min_value=0.0, max_value=300.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        sizes=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4),
+        pick=st.integers(min_value=0),
+    )
+    def test_redelivering_one_command_within_the_window_is_a_no_op(
+        self, stream, sizes, pick
+    ):
+        """The contract the tier's command cut relies on: after a crash
+        only the command the worker was running can have been applied
+        unanswered, and redelivering it, when it holds at most
+        ``dedup_window`` valid events, changes no digest."""
+        config = SessionConfig(
+            break_even=B, min_samples=3, snapshot_every=3, dedup_window=8,
+            drift_min_count=5, seed=99,
+        )
+        clocks = [0.0, 0.0, 0.0]
+        lines = []
+        for index, (vehicle, gap, stop) in enumerate(stream):
+            clocks[vehicle] += gap
+            lines.append(json.dumps({"id": f"e-{index}", "vehicle": f"veh-{vehicle}",
+                                     "t": clocks[vehicle], "stop": stop}))
+        commands, start = [], 0
+        while start < len(lines):
+            size = sizes[len(commands) % len(sizes)]
+            commands.append(lines[start : start + size])
+            start += size
+        redelivered = pick % len(commands)
+        with tempfile.TemporaryDirectory() as tmp:
+            clean = AdvisorService(Path(tmp) / "clean", config)
+            for command in commands:
+                clean.ingest_lines(command)
+            first = AdvisorService(Path(tmp) / "root", config)
+            for command in commands[: redelivered + 1]:
+                first.ingest_lines(command)
+            del first  # crash: no close, no final compaction
+            recovered = AdvisorService(Path(tmp) / "root", config)
+            for command in commands[redelivered:]:
+                recovered.ingest_lines(command)
+            assert _fleet_digests(recovered) == _fleet_digests(clean)
+
     def test_file_set_is_the_same_for_one_vehicle_and_a_thousand(self, tmp_path):
         def files(vehicles: int) -> list[str]:
             root = tmp_path / f"root-{vehicles}"

@@ -415,7 +415,9 @@ class TestDoctorAndReadiness:
         standby = tmp_path / "standby"
         _serve_registered(EVENTS, primary, close=False)
         monitor = ReplicationMonitor(primary, standby, max_lag=0)
-        service = AdvisorService(primary, CONFIG, replication=monitor)
+        service = ShardedAdvisorService(
+            primary, CONFIG, shards=1, workers=False, replication=monitor
+        )
         try:
             verdict = service.readiness()
             assert not verdict["ready"]
@@ -440,13 +442,34 @@ class TestDoctorAndReadiness:
         snap = monitor.snapshot()
         assert snap["watermarks_corrupt"]
         assert not snap["within_bound"]
-        service = AdvisorService(primary, CONFIG, replication=monitor)
+        service = ShardedAdvisorService(
+            primary, CONFIG, shards=1, workers=False, replication=monitor
+        )
         try:
             verdict = service.readiness()
             assert not verdict["ready"]
             assert any("watermarks corrupt" in r for r in verdict["reasons"])
         finally:
             service.close()
+
+
+def test_promote_is_fenced_by_a_plain_serve_tier(tmp_path):
+    """The in-process tier of a plain ``serve`` holds its state dir's
+    ``shard.lock``, so promoting a standby fenced on that dir is refused
+    while the tier runs, and proceeds once it has closed."""
+    primary = tmp_path / "primary"
+    standby = tmp_path / "standby"
+    _serve_registered(EVENTS, primary)
+    sync_once(primary, LocalReplicaTarget(standby))
+    service = ShardedAdvisorService(primary, CONFIG, shards=1, workers=False)
+    try:
+        with pytest.raises(ShardLockError, match="split-brain"):
+            promote(standby, CONFIG, fence=primary)
+    finally:
+        service.close()
+    assert sorted(promote(standby, CONFIG, fence=primary)["vehicles"]) == sorted(
+        {event["vehicle"] for event in EVENTS}
+    )
 
 
 def _mixed_layout(tmp_path):

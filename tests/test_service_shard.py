@@ -189,10 +189,114 @@ def test_sharding_is_a_pure_partition(tmp_path_factory, case):
 
     assert decisions_sharded == decisions_single
     assert digests_sharded == digests_single
-    assert snap_sharded["fleet_cost"] == snap_single["fleet_cost"]
-    for counter in ("received", "malformed", "duplicates", "rejected"):
-        assert snap_sharded["ingest"][counter] == snap_single["ingest"][counter]
-    assert snap_sharded["states"] == snap_single["states"]
+    assert _fleet_part(snap_sharded) == _fleet_part(snap_single)
+
+
+def _fleet_part(snapshot: dict) -> dict:
+    """A health snapshot without what depends on how the fleet is cut:
+    the tier's own keys and the chunk count and timing of batches."""
+    fleet = {key: value for key, value in snapshot.items()
+             if key not in ("routing", "shards")}
+    ingest = fleet["ingest"]
+    fleet["ingest"] = dict(ingest, batch={"events": ingest["batch"]["events"]})
+    return fleet
+
+
+def _fleet_lines(vehicles: int = 4, stops: int = 3) -> list[str]:
+    return [
+        json.dumps(event)
+        for event in build_fleet_events(vehicles=vehicles, stops_per_vehicle=stops,
+                                        seed=19)
+    ]
+
+
+def test_a_shard_counter_is_defined_once_and_summed_by_the_tier(
+    tmp_path, monkeypatch
+):
+    """A counter added to ``AdvisorService.health_snapshot`` alone shows
+    up in the tier's snapshot summed over the shards: numbers add, maps
+    merge, and a key only one shard has is copied."""
+    plain = AdvisorService.health_snapshot
+
+    def with_probe(self, include_vehicles=True):
+        snapshot = plain(self, include_vehicles)
+        snapshot["probe"] = {
+            "sessions": len(self.sessions),
+            "shards": {"all": 1, str(self.state_dir.name): 1},
+        }
+        return snapshot
+
+    monkeypatch.setattr(AdvisorService, "health_snapshot", with_probe)
+    lines = _fleet_lines(vehicles=6)
+    service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=2, workers=False)
+    try:
+        service.submit_lines(lines)
+        snapshot = service.health_snapshot()
+        owners = {service.route(json.loads(line)["vehicle"]) for line in lines}
+    finally:
+        service.close()
+    assert owners == {0, 1}
+    assert snapshot["probe"] == {
+        "sessions": 6, "shards": {"all": 2, "shard-00": 1, "shard-01": 1},
+    }
+    assert snapshot["vehicle_count"] == 6
+
+
+def test_a_tier_with_no_answering_shard_reports_no_totals(tmp_path, monkeypatch):
+    """When no shard answers a health request (every breaker open), the
+    fleet totals are unknown, so they are absent, and the snapshot still
+    carries ``routing`` and one down row per shard."""
+    from repro.service import shard as shard_module
+
+    answer = shard_module._answer
+    monkeypatch.setattr(
+        shard_module,
+        "_answer",
+        lambda service, kind, arg, want: (
+            None if kind == "health" else answer(service, kind, arg, want)
+        ),
+    )
+    service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=2, workers=False)
+    try:
+        service.submit_lines(_fleet_lines())
+        snapshot = service.health_snapshot(include_vehicles=True)
+        verdict = service.readiness()
+    finally:
+        service.close()
+    assert sorted(snapshot) == ["routing", "shards"]
+    assert snapshot["routing"]["dispatched_events"] == 12
+    assert snapshot["shards"] == [
+        {"shard": index, "down": True, "vehicles": None, "fleet_cost": None,
+         "states": None}
+        for index in (0, 1)
+    ]
+    assert verdict["reasons"] == ["shard 0 is down", "shard 1 is down"]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_shard_command_holds_at_most_dedup_window_lines(tmp_path, shards):
+    """Each shard's lines go out in commands of at most ``dedup_window``
+    lines, so a command redelivered after a worker death holds only
+    events its vehicles' windows still remember."""
+    config = SessionConfig(break_even=B, dedup_window=8)
+    lines = [
+        json.dumps({"id": f"e-{n:02d}", "vehicle": "veh-0", "t": float(n),
+                    "stop": float(10 + n)})
+        for n in range(20)
+    ]
+    reference = AdvisorService(tmp_path / "single", config)
+    decisions = reference.ingest_lines(lines)
+    reference.close()
+    service = ShardedAdvisorService(
+        tmp_path / "fleet", config, shards=shards, workers=False
+    )
+    try:
+        answers = service.request_lines(lines)
+        batch = service.health_snapshot()["ingest"]["batch"]
+    finally:
+        service.close()
+    assert [json.loads(answer) for answer in answers] == decisions
+    assert (batch["chunks"], batch["events"]) == (3, 20)
 
 
 # -- shard state-dir locks ------------------------------------------------
@@ -222,6 +326,40 @@ def test_shard_lock_blocks_live_owner_and_sweeps_dead(tmp_path):
     torn.mkdir()
     (torn / SHARD_LOCK_NAME).write_text("")
     release_shard_lock(acquire_shard_lock(torn))
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_an_in_process_tier_holds_its_shard_locks(tmp_path, shards):
+    """An in-process tier (plain ``serve``) locks each shard's dir as a
+    worker does: a second opener is refused while the first is open and
+    opens once it has closed, leaving no lock behind."""
+    fleet = tmp_path / "fleet"
+    first = ShardedAdvisorService(fleet, CONFIG, shards=shards, workers=False)
+    try:
+        with pytest.raises(ShardLockError, match=f"live pid {os.getpid()}"):
+            ShardedAdvisorService(fleet, CONFIG, shards=shards, workers=False)
+    finally:
+        first.close()
+    second = ShardedAdvisorService(fleet, CONFIG, shards=shards, workers=False)
+    second.close()
+    assert not list(fleet.rglob(SHARD_LOCK_NAME))
+
+
+def test_an_in_process_tier_that_fails_to_open_releases_its_locks(
+    tmp_path, monkeypatch
+):
+    opened = []
+
+    def fail_on_second_shard(self, state_dir, *args, **kwargs):
+        opened.append(state_dir)
+        if len(opened) == 2:
+            raise OSError("injected open failure")
+
+    monkeypatch.setattr(AdvisorService, "__init__", fail_on_second_shard)
+    with pytest.raises(OSError, match="injected"):
+        ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=2, workers=False)
+    assert len(opened) == 2
+    assert not list((tmp_path / "fleet").rglob(SHARD_LOCK_NAME))
 
 
 def test_shard_lock_detects_pid_reuse(tmp_path):
@@ -779,11 +917,56 @@ def test_frontend_stdin_pump(tmp_path, monkeypatch):
         tmp_path / "fleet", CONFIG, shards=2, workers=False
     )
     frontend = JsonlFrontend(service)
-    routed = asyncio.run(frontend.pump_stdin(iter(line + "\n" for line in lines)))
+    stdin = iter(line + "\n" for line in lines)
+    asyncio.run(frontend.serve(stdin=stdin, install_signals=False))
+    received = service.health_snapshot()["ingest"]["received"]
     digests = service.digests()
     service.close()
-    assert routed == len(lines)
+    assert frontend.requests == received == len(lines)
     assert digests == digests_single
+
+
+def test_frontend_answers_a_socket_client_while_stdin_is_open_and_idle(tmp_path):
+    """``serve - --listen`` pumps stdin in a thread: a stdin that is open
+    but sends nothing must not keep the socket from answering."""
+    line = json.dumps(build_fleet_events(vehicles=1, stops_per_vehicle=1, seed=3)[0])
+    [decision], _digests, _cost = _single_reference(tmp_path, [line])
+    service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=1, workers=False)
+    frontend = JsonlFrontend(service)
+    sock_path = str(tmp_path / "advisor.sock")
+    read_fd, write_fd = os.pipe()
+    answers = []
+
+    def client(loop):
+        try:
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(sock_path) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with socket.socket(socket.AF_UNIX) as sock:
+                sock.settimeout(5.0)
+                sock.connect(sock_path)
+                sock.sendall(line.encode() + b"\n")
+                sock.shutdown(socket.SHUT_WR)
+                answers.append(sock.makefile().read())
+        except OSError as exc:
+            answers.append(exc)
+        finally:
+            os.close(write_fd)  # stdin EOF
+            loop.call_soon_threadsafe(frontend.request_stop)
+
+    async def scenario():
+        thread = threading.Thread(target=client, args=(asyncio.get_running_loop(),))
+        thread.start()
+        with os.fdopen(read_fd) as stdin:
+            await frontend.serve(f"unix:{sock_path}", stdin=stdin, install_signals=False)
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        service.close()
+    assert answers == [json.dumps(decision) + "\n"]
 
 
 def _serve_while(frontend, sock_path, client):
